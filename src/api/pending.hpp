@@ -4,7 +4,7 @@
 //
 // Solver::find_async / list_async / count_async (and the SolverPool
 // counterparts) return one immediately; the query itself runs detached on
-// the shared serving pool (support::Scheduler::submit) and fulfills the
+// the shared executor (support::Scheduler::submit) and fulfills the
 // handle exactly once. The handle owns the query's CancelToken, so
 // cancel() is always safe:
 //   * before the query starts: it returns kCancelled without doing work,

@@ -12,12 +12,11 @@
 #include <new>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include <omp.h>
 
 #include "api/budget.hpp"
 #include "api/dynamic.hpp"
@@ -325,10 +324,10 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
   // old sequential loop stopped, and the cancelled tail skips itself.
   // Without them a work-stealing schedule may stack every speculative
   // slice before the stopping one completes (observed: 20x wall
-  // regression on warm single-thread decisions). W tracks the team size;
+  // regression on warm single-thread decisions). W tracks the run's width;
   // the edge structure never affects results — the replay decides those.
   const std::uint32_t window =
-      2 * static_cast<std::uint32_t>(std::max(1, omp_get_max_threads()));
+      2 * static_cast<std::uint32_t>(std::max(1, support::num_threads()));
 
   // Collect mode: in-graph replay chain. replay_slice(i) runs with every
   // smaller replay done (chain edges), so the limit cut it computes is the
@@ -507,11 +506,38 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
   return false;
 }
 
+/// kUnsupported when a slice that can host the pattern decomposed into
+/// bags the 64-bit DP state codec cannot encode (iso::StateCodec::supports),
+/// naming the bound; ok otherwise. Checked before any slice is solved, so
+/// an out-of-range query costs no DP work and never reaches the codec's
+/// internal invariant checks.
+Status codec_range(const Cover& cover, const TdList& tds,
+                   const Pattern& pattern) {
+  for (std::size_t i = 0; i < cover.slices.size(); ++i) {
+    if (cover.slices[i].graph.num_vertices() < pattern.size()) continue;
+    std::size_t max_bag = 1;
+    for (const auto& bag : tds[i]->bags)
+      max_bag = std::max(max_bag, bag.size());
+    if (iso::StateCodec::supports(pattern.size(), max_bag)) continue;
+    return Status::Unsupported(
+        "slice " + std::to_string(i) + " decomposes into a bag of " +
+        std::to_string(max_bag) + " vertices, outside the 64-bit state codec "
+        "for a " + std::to_string(pattern.size()) +
+        "-vertex pattern: bags may hold at most 56 vertices and "
+        "k * ceil(log2(bag + 2)) must not exceed 64");
+  }
+  return Status::Ok();
+}
+
 bool solve_cover(const Cover& cover, const TdList& tds,
                  const Pattern& pattern, const QueryOptions& options,
                  const Budget& budget, DecisionResult* decision,
                  std::set<Assignment>* collect, std::size_t limit,
                  Status* interrupt) {
+  if (Status status = codec_range(cover, tds, pattern); !status.ok()) {
+    *interrupt = std::move(status);
+    return false;
+  }
   support::Metrics run_depth;
   const bool found =
       solve_all_slices(cover, tds, pattern, options, budget, decision,
@@ -790,13 +816,10 @@ struct Solver::Impl {
           for (std::size_t i = 0; i < tds.size(); ++i) rebuild[i] = i;
         }
         // Slices decompose independently, so the build fans out across the
-        // team (each iteration fills its own pre-sized slot; results are
-        // per-slice deterministic, so the assembled vector is too). This
-        // runs under entry.mutex, so it must be parallel_for, never a
-        // TaskGraph: a task suspension here could pick up an arbitrary
-        // sibling query task that takes the same mutex (see the locking
-        // discipline in support/scheduler.hpp). Grain 1: decompositions
-        // are orders of magnitude heavier than a loop iteration's overhead.
+        // executor (each iteration fills its own pre-sized slot; results
+        // are per-slice deterministic, so the assembled vector is too).
+        // Grain 1: decompositions are orders of magnitude heavier than a
+        // loop iteration's overhead.
         support::parallel_for(
             0, rebuild.size(),
             [&](std::size_t r) {
@@ -883,10 +906,10 @@ struct Solver::Impl {
     ++async_inflight;
   }
   void async_end() {
-    {
-      const std::lock_guard<std::mutex> lock(async_mutex);
-      --async_inflight;
-    }
+    // Notify under the lock: once the count reads 0, ~Solver may destroy
+    // the condition variable as soon as it can take the mutex.
+    const std::lock_guard<std::mutex> lock(async_mutex);
+    --async_inflight;
     async_done.notify_all();
   }
   void drain_async() {
@@ -1435,12 +1458,9 @@ std::vector<Result<DecisionResult>> Solver::find_batch(
   // and the common per-run seeds resolve to the same memoized covers, so
   // whichever task gets there first builds and the rest reuse.
   //
-  // One query task per pattern on the shared scheduler pool: the nested
-  // slice and path tasks each query spawns join the same team instead of
-  // collapsing into serial nested OMP regions, so a lone large query in
-  // the batch still uses every idle thread. Scheduler::run carries the
-  // TSan-visible fork/join edges the old manual `completed` counter
-  // provided (libgomp's own barriers are uninstrumented).
+  // One query task per pattern on the executor: the nested slice and path
+  // tasks each query spawns join the same workers, so a lone large query
+  // in the batch still uses every idle thread.
   support::TaskGraph graph;
   for (std::size_t i = 0; i < patterns.size(); ++i)
     graph.add([&, i] { out[i] = find(patterns[i], inner); });

@@ -18,7 +18,7 @@
 // Error model: every query returns Result<T> (api/status.hpp). Options are
 // validated eagerly; limit/budget/deadline interruptions return a non-ok
 // status carrying the partial result. Concurrent queries on one Solver are
-// safe — find_batch fans out over OMP tasks against the shared cache.
+// safe — find_batch fans out over executor tasks against the shared cache.
 
 #include <cstdint>
 #include <memory>
@@ -231,7 +231,7 @@ class Solver {
       const QueryOptions& options = {});
 
   /// Decides every pattern against the shared cache, fanning out across
-  /// OMP tasks. Patterns with equal (diameter, size) share cover builds.
+  /// executor tasks. Patterns with equal (diameter, size) share cover builds.
   /// out[i] corresponds to patterns[i]. options.cancel (if set) is shared
   /// by every query of the batch.
   std::vector<Result<cover::DecisionResult>> find_batch(
@@ -241,7 +241,7 @@ class Solver {
   // ---- Asynchronous serving API ----
   //
   // Each *_async query returns immediately; the query runs detached on the
-  // shared serving pool (support::Scheduler::submit) and fulfills the
+  // shared executor (support::Scheduler::submit) and fulfills the
   // PendingResult exactly once with the same Result<T> its blocking twin
   // would have produced — results and work counters are bit-identical
   // (pinned by tests/differential/test_differential_async.cpp). The
@@ -252,7 +252,7 @@ class Solver {
   // them (cancel first for a prompt exit).
   //
   // The Admission argument (api/admission.hpp) classes the query for the
-  // serving threads: its priority orders dispatch against other detached
+  // executor: its priority orders dispatch against other detached
   // queries, and a query whose Admission::deadline_seconds passes before
   // execution starts resolves to kShed with zero accounted work. The
   // default Admission reproduces the old FIFO behavior exactly.

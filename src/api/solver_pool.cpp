@@ -135,9 +135,9 @@ struct SolverPool::Impl {
   }
 
   /// Outstanding parks (acknowledged + requested). Capped below
-  /// serving_threads(): every parked query occupies a blocked serving
-  /// thread, so at least one thread must stay unparkable or the dispatched
-  /// waiters could find no thread to run on.
+  /// serving_threads(), the executor's worker count: every parked query
+  /// blocks a worker, so at least one worker must stay unparkable or the
+  /// dispatched waiters could find no worker to run on.
   std::size_t parks_outstanding() const {
     std::size_t requested = 0;
     for (const auto& r : running_list)

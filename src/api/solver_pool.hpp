@@ -5,9 +5,10 @@
 // A pool owns several targets, each behind its own Solver shard (so cover
 // caches never mix across tenants), and admits asynchronous queries through
 // a policy engine: at most PoolOptions::max_concurrent queries execute at a
-// time on the shared serving threads (support::Scheduler::submit). Inside
-// one admitted query the full slice/path task parallelism of the engines
-// still applies — admission bounds *queries*, not threads.
+// time on the shared executor (support::Scheduler::submit). Inside one
+// admitted query the full slice/path task parallelism of the engines still
+// applies, on the same workers — admission bounds *queries*; the executor
+// bounds threads.
 //
 // Every submission carries an Admission (api/admission.hpp); under the
 // default kPriority policy dispatch picks, in order:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <omp.h>
 
 #include "support/parallel.hpp"
 #include "support/rng.hpp"

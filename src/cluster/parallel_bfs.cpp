@@ -1,7 +1,7 @@
 #include "cluster/parallel_bfs.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <omp.h>
 
 #include "support/parallel.hpp"
 
@@ -24,54 +24,39 @@ BfsResult parallel_bfs(const Graph& g, std::span<const Vertex> sources,
   }
   std::uint64_t work = frontier.size();
   std::uint32_t level = 0;
-  // `next` persists across levels (cleared, capacity kept): the old
-  // per-level vector reallocated its way up to the widest frontier on
-  // every level of every BFS. The same grain constant the fork-join
-  // primitives use decides when a frontier is worth a parallel expansion.
-  std::vector<Vertex> next;
+  // Each level expands the frontier in static blocks (one block below the
+  // fork-join grain). A vertex joins the block that wins its CAS; blocks
+  // append to their own list, kept with its capacity across levels, and
+  // the lists concatenate in block order into the next frontier.
+  std::vector<std::vector<Vertex>> found;
   while (!frontier.empty()) {
     ++level;
-    next.clear();
-    if (frontier.size() < support::kDefaultGrain) {
-      // Serial expansion of small frontiers.
-      for (Vertex u : frontier) {
-        for (Vertex w : g.neighbors(u)) {
-          ++work;
-          if (out.dist[w] == kUnreached) {
-            out.dist[w] = level;
-            out.parent[w] = u;
-            next.push_back(w);
-          }
-        }
-      }
-    } else {
-#pragma omp parallel
-      {
-        std::vector<Vertex> local;
-        std::uint64_t local_work = 0;
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::size_t i = 0; i < frontier.size(); ++i) {
-          const Vertex u = frontier[i];
-          for (Vertex w : g.neighbors(u)) {
-            ++local_work;
-            std::uint32_t expected = kUnreached;
-            std::atomic_ref<std::uint32_t> slot(out.dist[w]);
-            if (slot.load(std::memory_order_relaxed) == kUnreached &&
-                slot.compare_exchange_strong(expected, level,
-                                             std::memory_order_relaxed)) {
-              out.parent[w] = u;
-              local.push_back(w);
+    const std::size_t blocks =
+        support::parallel_width(frontier.size(), support::kDefaultGrain);
+    found.resize(std::max(found.size(), blocks));
+    support::parallel_blocks(
+        0, frontier.size(), blocks,
+        [&](std::size_t t, std::size_t lo, std::size_t hi) {
+          std::vector<Vertex>& local = found[t];
+          local.clear();
+          for (std::size_t i = lo; i < hi; ++i) {
+            const Vertex u = frontier[i];
+            for (Vertex w : g.neighbors(u)) {
+              std::uint32_t expected = kUnreached;
+              std::atomic_ref<std::uint32_t> slot(out.dist[w]);
+              if (slot.load(std::memory_order_relaxed) == kUnreached &&
+                  slot.compare_exchange_strong(expected, level,
+                                               std::memory_order_relaxed)) {
+                out.parent[w] = u;
+                local.push_back(w);
+              }
             }
           }
-        }
-#pragma omp critical(ppsi_bfs_merge)
-        {
-          next.insert(next.end(), local.begin(), local.end());
-          work += local_work;
-        }
-      }
-    }
-    frontier.swap(next);
+        });
+    for (const Vertex u : frontier) work += g.degree(u);  // edges scanned
+    frontier.clear();
+    for (std::size_t t = 0; t < blocks; ++t)
+      frontier.insert(frontier.end(), found[t].begin(), found[t].end());
   }
   out.num_levels = level;
   if (metrics != nullptr) {

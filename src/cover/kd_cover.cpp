@@ -3,7 +3,6 @@
 #include "graph/ops.hpp"
 
 #include <algorithm>
-#include <omp.h>
 #include <queue>
 
 #include "cluster/parallel_bfs.hpp"

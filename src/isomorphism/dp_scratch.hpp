@@ -4,8 +4,8 @@
 //
 // solve_node_exact and solve_path previously allocated their working sets
 // per node / per path (candidate-state vectors, hash maps, the match-DAG
-// adjacency, BFS frontiers). One DpScratch lives per thread (the OMP pool
-// keeps threads alive across queries), is prepared once per solve from
+// adjacency, BFS frontiers). One DpScratch lives per thread (the executor
+// keeps its workers alive across queries), is prepared once per solve from
 // (k, max_bag), and is *acquired* — cleared with capacity kept — at each
 // use. After the first queries of a given shape the buffers stop growing
 // and the engines run with zero steady-state scratch allocation; the

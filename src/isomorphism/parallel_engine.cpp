@@ -1,7 +1,6 @@
 #include "isomorphism/parallel_engine.hpp"
 
 #include <algorithm>
-#include <omp.h>
 
 #include "support/fault.hpp"
 #include "support/parallel.hpp"
@@ -53,25 +52,15 @@ void run_paths_layer_barrier(const Graph& g,
                              const treepath::PathDecomposition& paths,
                              const PathSolveConfig& config, DpSolution& sol,
                              std::vector<PathStats>& per_path) {
-  // Same containment as parallel_for: an exception escaping the omp region
-  // would terminate, so trap the first failure and rethrow after the join.
-  support::detail::RegionTrap trap;
   for (std::uint32_t layer = 0; layer < paths.num_layers; ++layer) {
-    const std::uint32_t begin = paths.layer_path_offsets[layer];
-    const std::uint32_t end = paths.layer_path_offsets[layer + 1];
-#pragma omp parallel for schedule(dynamic)
-    for (std::uint32_t pi = begin; pi < end; ++pi) {
-      if (!trap.failed()) {
-        try {
+    support::parallel_for(
+        paths.layer_path_offsets[layer], paths.layer_path_offsets[layer + 1],
+        [&](std::size_t pi) {
           PPSI_FAULT_POINT("engine.path");
           per_path[pi] =
               solve_path(g, td, pattern, ctxs, paths.paths[pi], config, sol);
-        } catch (...) {
-          trap.capture();
-        }
-      }
-    }
-    trap.rethrow();
+        },
+        /*grain=*/1);
   }
 }
 

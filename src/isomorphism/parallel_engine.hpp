@@ -9,7 +9,7 @@
 // Scheduling: by default every path is one task in a support::TaskGraph
 // whose ready-counter is its number of child paths, so a path starts the
 // moment its own children finish — no barrier at layer boundaries, and the
-// tasks interleave with other slices' paths on the one shared OMP team.
+// tasks interleave with other slices' paths on the one shared executor.
 // The pre-scheduler per-layer `parallel_for` loop is kept behind
 // ParallelSchedule::kLayerBarrier for A/B benchmarking and differential
 // pinning: both schedules produce bit-identical solutions and instrumented

@@ -6,11 +6,26 @@
 
 namespace ppsi::iso {
 
+namespace {
+
+/// Field width of a codec for bags of up to `max_bag` vertices.
+std::uint32_t field_bits(std::uint64_t max_bag) {
+  std::uint32_t bits = 2;
+  while ((1ULL << bits) < max_bag + 2) ++bits;
+  return bits;
+}
+
+}  // namespace
+
+bool StateCodec::supports(std::uint32_t k, std::size_t max_bag) {
+  return max_bag <= kSepInsideBits &&
+         static_cast<std::uint64_t>(k) * field_bits(max_bag) <= 64;
+}
+
 StateCodec StateCodec::make(std::uint32_t k, std::uint32_t max_bag) {
   StateCodec codec;
   codec.k = k;
-  std::uint32_t bits = 2;
-  while ((1ULL << bits) < static_cast<std::uint64_t>(max_bag) + 2) ++bits;
+  const std::uint32_t bits = field_bits(max_bag);
   codec.bits = bits;
   codec.field_mask = (1ULL << bits) - 1;
   support::require(static_cast<std::uint64_t>(k) * bits <= 64,

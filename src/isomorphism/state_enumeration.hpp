@@ -28,6 +28,7 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -85,6 +86,12 @@ struct StateCodec {
   /// Codec for patterns of size k and bags of at most `max_bag` vertices.
   /// Throws when k * ceil(log2(max_bag + 2)) exceeds 64 bits.
   static StateCodec make(std::uint32_t k, std::uint32_t max_bag);
+
+  /// True when the DP can encode patterns of size k over bags of up to
+  /// `max_bag` vertices: bags fit the 56-bit separating labels
+  /// (kSepInsideBits, see make_bag_context) and k fields of
+  /// ceil(log2(max_bag + 2)) bits fit one 64-bit code (see make).
+  static bool supports(std::uint32_t k, std::size_t max_bag);
 
   std::uint64_t get(std::uint64_t code, std::uint32_t v) const {
     return (code >> (v * bits)) & field_mask;

@@ -120,6 +120,22 @@ int bind_current_thread(int node) {
 #endif
 }
 
+void widen_narrow_mask(int min_cpus) {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) != 0 ||
+      CPU_COUNT(&set) >= min_cpus)
+    return;
+  CPU_ZERO(&set);
+  const long online = sysconf(_SC_NPROCESSORS_ONLN);
+  for (long cpu = 0; cpu < online && cpu < CPU_SETSIZE; ++cpu)
+    CPU_SET(static_cast<int>(cpu), &set);
+  (void)sched_setaffinity(0, sizeof set, &set);
+#else
+  (void)min_cpus;
+#endif
+}
+
 int preferred_node_for_worker(unsigned long index) {
   const int nodes = num_nodes();
   return nodes > 1 ? static_cast<int>(index % static_cast<unsigned long>(

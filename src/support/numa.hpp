@@ -6,12 +6,10 @@
 // grow on the thread that uses them, so their pages land on the owning
 // worker's NUMA node by first-touch. That placement is only *stable* when
 // the workers themselves stay put, so this module adds an opt-in binding
-// mode: with PPSI_NUMA=ON (or 1), the serving pool's worker threads pin
+// mode: with PPSI_NUMA=ON (or 1), the executor's worker threads pin
 // themselves round-robin across the nodes reported by sysfs
 // (sched_setaffinity over the node's cpulist; libnuma, when the build
-// found it, additionally sets the preferred allocation node). OMP teams
-// are pinned the usual way — OMP_PROC_BIND=close OMP_PLACES=cores, which
-// scripts/bench_smoke.sh now exports by default.
+// found it, additionally sets the preferred allocation node).
 //
 // Everything degrades gracefully: on single-node hosts binding is a no-op,
 // on non-Linux platforms the queries return "unknown" (-1) / 1 node, and
@@ -36,7 +34,16 @@ int current_node();
 /// num_nodes().
 int bind_current_thread(int node);
 
-/// Round-robin node assignment for serving-pool worker `index`
+/// Widens the calling thread's CPU mask to every online CPU (clipped by
+/// the kernel to the process's cpuset) when it allows fewer than
+/// `min_cpus` CPUs. Threads inherit their creator's mask, and libgomp pins
+/// the initial thread to one place at startup when OMP_PROC_BIND is set;
+/// executor workers created from such a thread would otherwise share one
+/// core. A mask at least `min_cpus` wide (e.g. a deliberate taskset) is
+/// kept. No-op off Linux.
+void widen_narrow_mask(int min_cpus);
+
+/// Round-robin node assignment for executor worker `index`
 /// (index % num_nodes(); 0 on single-node hosts).
 int preferred_node_for_worker(unsigned long index);
 

@@ -3,11 +3,15 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -31,246 +35,196 @@ void TaskGraph::add_edge(std::uint32_t pred, std::uint32_t succ) {
 }
 
 namespace detail {
-
-/// Per-run() execution state. Lives on the calling frame; tasks reference
-/// it for the duration of the run (run() does not return before every task
-/// finished, so the lifetime is safe).
-class GraphRun;
-
 namespace {
 
-// Task handoff. libgomp copies a task's firstprivate frame into its own
-// (uninstrumented) heap and hands it over through futex-based queues TSan
-// cannot order, so spawned tasks capture NOTHING: the (run, task id) pair
-// travels through this mutex-guarded global stack instead — pthread
-// mutexes are TSan-instrumented, so every edge of the handoff is visible.
-//
-// LIFO is load-bearing, not a preference. Which OMP task object pops
-// which entry is decoupled, and at one thread a run's taskgroup must be
-// able to finish on its own objects: LIFO keeps the stack top owned by
-// the innermost active run (nested runs push above their parents'
-// remaining entries), so a run's objects drain the run's own entries and
-// a foreign entry is only ever popped where other threads exist to finish
-// it. Entries are pushed before their task object is created, so the
-// stack is provably non-empty at every pop.
-std::mutex ready_mutex;
-std::vector<std::pair<GraphRun*, std::uint32_t>> ready_stack;
+using Clock = std::chrono::steady_clock;
 
-/// Body of every spawned task (no captures): pop the newest handoff entry
-/// and execute it.
-void execute_from_ready_stack();
+/// How long an idle worker or a waiting caller keeps polling (yielding the
+/// core between polls) before it blocks.
+constexpr auto kSpin = std::chrono::milliseconds(1);
+/// Longest a blocked joiner sleeps before it looks for work again.
+constexpr auto kPoll = std::chrono::milliseconds(1);
+/// A caller outside the executor executes its own run's tasks without a
+/// slot once no task anywhere has started for this long: every worker is
+/// then blocked (typically on a lock the caller holds).
+constexpr auto kStall = std::chrono::milliseconds(50);
+
+thread_local Run* tls_run = nullptr;  ///< run of the task being executed
+thread_local int tls_worker = -1;     ///< executor worker index, or -1
+
+struct Item {
+  Run* run;
+  std::uint32_t id;
+};
 
 }  // namespace
 
-class GraphRun {
+/// One run()/fork()'s execution state. Lives on the joining caller's
+/// frame; the caller does not return before the last task finished.
+class Run {
  public:
-  explicit GraphRun(TaskGraph& graph) : graph_(graph) {}
+  Run(TaskGraph* graph, const ForkBody* body, std::size_t size)
+      : width(num_threads()),
+        parent(tls_run),
+        graph_(graph),
+        body_(body),
+        remaining_(size) {}
 
-  /// Fork edge, caller side: release-publishes the run state and the graph
-  /// (both built non-atomically) BEFORE any other thread can reach them —
-  /// i.e. before the parallel region opens. With `single nowait` any team
-  /// member may become the spawner, so the publish cannot wait until
-  /// run_all.
-  void publish() { published_.store(1, std::memory_order_release); }
-  /// Fork edge, team side: first thing every team thread (and every task
-  /// body) does.
-  void join_fork_edge() { published_.load(std::memory_order_acquire); }
+  const int width;    ///< num_threads() of the caller, seen by every task
+  Run* const parent;  ///< run whose task started this one (or nullptr)
 
-  void run_all() {
-    join_fork_edge();
-    // Snapshot the root set BEFORE spawning anything: once the first root
-    // is live, predecessors may finish and drive other counters to zero
-    // concurrently, and reading the live counters here would spawn such a
-    // successor twice (its own predecessor spawns it as well).
-    const std::size_t n = graph_.nodes_.size();
-    std::vector<std::uint32_t> roots;
-    for (std::uint32_t id = 0; id < n; ++id) {
-      if (graph_.nodes_[id].pending.load(std::memory_order_relaxed) == 0)
-        roots.push_back(id);
-    }
-#pragma omp taskgroup
-    {
-      // Reverse order: the handoff stack is LIFO, so descending pushes
-      // make concurrent pops start with the LOWEST root ids — the
-      // low-index completion bias first-accepting-index queries rely on.
-      for (auto it = roots.rbegin(); it != roots.rend(); ++it) spawn(*it);
-    }
-    await_joined();
+  /// True when this run is `ancestor` or nested inside it.
+  bool within(const Run* ancestor) const {
+    for (const Run* r = this; r != nullptr; r = r->parent)
+      if (r == ancestor) return true;
+    return false;
   }
 
-  /// Join edge: acquire-syncs with every task's finished-increment. The
-  /// taskgroup (or region barrier) already joined, so the spin is
-  /// momentary; it exists because the thread that returns to the caller
-  /// must own the edge itself — with `single nowait` the spawner may be a
-  /// worker, and libgomp's barriers are invisible to TSan.
-  void await_joined() const {
-    while (finished_.load(std::memory_order_acquire) < graph_.nodes_.size()) {
-    }
+  bool finished() const {
+    return remaining_.load(std::memory_order_acquire) == 0;
   }
 
-  void execute(std::uint32_t id) {
-    // Fork edge (see publish). For tasks with predecessors the acquire load
-    // of the own ready counter additionally synchronizes with the release
-    // sequence of every predecessor's decrement.
-    join_fork_edge();
-    TaskGraph::Node& node = graph_.nodes_[id];
-    node.pending.load(std::memory_order_acquire);
-    // Exception containment at the task boundary: an exception escaping an
-    // OMP task body terminates the process, so the first failure is
-    // recorded here and rethrown by run() on the calling thread. Later
-    // tasks of a failed run skip their body (the run's outcome is decided;
-    // draining fast matters more) but still propagate successor counts and
-    // the finished increment, so the graph drains and joins normally.
-    if (node.fn && !failed_.load(std::memory_order_acquire)) {
-      try {
-        PPSI_FAULT_POINT("scheduler.task");
-        node.fn();
-      } catch (...) {
-        record_failure();
-      }
-    }
-    for (const std::uint32_t succ : node.successors) {
-      if (graph_.nodes_[succ].pending.fetch_sub(
-              1, std::memory_order_acq_rel) == 1) {
-        spawn(succ);
-      }
-    }
-    finished_.fetch_add(1, std::memory_order_release);
+  /// Runs task `id`, releases its successors (onto `inline_ready` when
+  /// given, else onto the executor), and counts it finished.
+  void execute(std::uint32_t id,
+               std::vector<std::uint32_t>* inline_ready = nullptr);
+
+  /// Blocks until the run finished or `timeout` passed; returns finished.
+  /// Without a timeout this is the final handshake: it returns once the
+  /// last finisher released the run, after which nothing touches it.
+  bool wait(std::optional<Clock::duration> timeout = std::nullopt) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto done = [&] { return done_; };
+    if (timeout) return done_cv_.wait_for(lock, *timeout, done);
+    done_cv_.wait(lock, done);
+    return true;
   }
 
-  /// Rethrows the run's first recorded task failure, if any. Called by
-  /// Scheduler::run after the join, on the thread that returns to the
-  /// caller — from there the exception unwinds through ordinary
-  /// single-threaded code into the query-boundary containment.
-  void rethrow_if_failed() const {
-    if (!failed_.load(std::memory_order_acquire)) return;
-    std::exception_ptr error;
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex_);
-      error = error_;
-    }
-    if (error) std::rethrow_exception(error);
-  }
+  /// The first task failure, if any; read after the final wait().
+  std::exception_ptr error() const { return error_; }
 
  private:
-  void record_failure() {
-    const std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!error_) error_ = std::current_exception();
-    failed_.store(true, std::memory_order_release);
-  }
-
-  void spawn(std::uint32_t id) {
-    {
-      const std::lock_guard<std::mutex> lock(ready_mutex);
-      ready_stack.emplace_back(this, id);
-    }
-#pragma omp task default(none)
-    execute_from_ready_stack();
-  }
-
-  TaskGraph& graph_;
-  std::atomic<std::uint32_t> published_{0};
-  std::atomic<std::size_t> finished_{0};
-  // Failure containment (see execute). failed_ is the fast-path flag;
-  // error_ holds the first exception, guarded by error_mutex_ because
-  // multiple tasks can fail concurrently.
+  TaskGraph* graph_;       ///< graph run, or nullptr for a fork
+  const ForkBody* body_;   ///< fork body (graph_ == nullptr)
+  std::atomic<std::size_t> remaining_;
   std::atomic<bool> failed_{false};
-  mutable std::mutex error_mutex_;
-  std::exception_ptr error_;
+  std::mutex mutex_;
+  std::condition_variable done_cv_;
+  bool done_ = false;         // guarded by mutex_
+  std::exception_ptr error_;  // guarded by mutex_
 };
 
 namespace {
 
-void execute_from_ready_stack() {
-  GraphRun* run;
-  std::uint32_t id;
-  {
-    const std::lock_guard<std::mutex> lock(ready_mutex);
-    run = ready_stack.back().first;
-    id = ready_stack.back().second;
-    ready_stack.pop_back();
-  }
-  run->execute(id);
-}
-
-}  // namespace
-
-}  // namespace detail
-
-namespace {
-
-// Fork/join epochs of top-level (region-opening) runs. libgomp's futex
-// barriers are invisible to TSan, and the compiler materializes the
-// region's shared-variable struct on the caller's stack at the region
-// call site — after every user statement — so no member atomic can order
-// workers' first reads of that struct. These globals can: thread 0 of the
-// region IS the caller, so its in-region release-increment is ordered
-// after all of the caller's setup writes, and a worker's acquire-load
-// after the entry barrier is guaranteed (by the real barrier) to observe
-// it, handing TSan the fork edge before the worker first touches shared
-// state. The join epoch mirrors this at region exit. Shared across
-// concurrent top-level runs by design: extra observed increments only add
-// ordering, never remove it.
-std::atomic<std::uint64_t> fork_epoch{0};
-std::atomic<std::uint64_t> join_epoch{0};
-
-}  // namespace
-
-namespace {
-
-// The detached serving pool behind Scheduler::submit. Plain std::threads,
-// not OMP: each serving thread must be able to open OMP parallel regions
-// of its own (a submitted query calls Scheduler::run), which a thread that
-// is itself an OMP task could not do without nesting inside the submitting
-// team. Lazily started on first submit; the function-local singleton joins
-// its (idle, queue drained by callers waiting on their results) threads at
-// static destruction.
-class ServingPool {
+/// The process-wide executor: one deque per worker plus a FIFO injection
+/// queue (the last entry of queues_) for tasks pushed from outside, and a
+/// priority queue of detached jobs. Started on first use; drains its jobs
+/// and joins at exit.
+class Executor {
  public:
-  static ServingPool& instance() {
-    static ServingPool pool;
-    return pool;
+  static Executor& instance() {
+    static Executor executor;
+    return executor;
   }
 
-  static std::size_t thread_count() {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return std::clamp(hw / 2u, 2u, 8u);
+  std::size_t workers() const { return queues_.size() - 1; }
+
+  /// Makes tasks `ids` of `run` ready, ids[0] to be taken first: on the
+  /// calling worker's deque (taken newest first), else on the injection
+  /// queue (taken oldest first).
+  void push(Run* run, const std::uint32_t* ids, std::size_t n) {
+    Queue& queue = own();
+    {
+      const std::lock_guard<std::mutex> lock(queue.mutex);
+      for (std::size_t k = 0; k < n; ++k)
+        queue.items.push_back(
+            Item{run, ids[tls_worker >= 0 ? n - 1 - k : k]});
+      queue.size.store(queue.items.size(), std::memory_order_release);
+    }
+    wake(n);
+  }
+
+  /// Executes tasks of `run` (helping join) until it finished, then
+  /// rethrows its first failure. A worker, or any thread inside a task,
+  /// already holds a slot; an outside caller executes only while it holds
+  /// a slot that an idle worker left free.
+  void join(Run& run) {
+    const bool inside = tls_worker >= 0 || run.parent != nullptr;
+    bool slot = false;
+    bool stalled = false;
+    auto idle_since = Clock::now();
+    std::uint64_t progress = progress_total();
+    auto progress_at = idle_since;
+    while (!run.finished()) {
+      if (inside || stalled || slot || (slot = try_acquire_slot())) {
+        if (std::optional<Item> item = take([&run](const Item& i) {
+              return i.run->within(&run);
+            })) {
+          execute(*item);
+          idle_since = Clock::now();
+          continue;
+        }
+        if (slot) release_slot();
+        slot = false;
+      }
+      if (Clock::now() - idle_since < kSpin) {
+        std::this_thread::yield();
+      } else if (!run.wait(kPoll) && !inside) {
+        if (const std::uint64_t now = progress_total(); now != progress) {
+          progress = now;
+          progress_at = Clock::now();
+        }
+        if (Clock::now() - progress_at > kStall) stalled = true;
+      }
+    }
+    if (slot) release_slot();
+    run.wait();
+    if (run.error()) std::rethrow_exception(run.error());
   }
 
   void submit(std::function<void()> job, int priority) {
     {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      queue_.push_back(Entry{priority, next_seq_++, std::move(job)});
-      if (threads_.empty()) {
-        const std::size_t n = thread_count();
-        threads_.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-          threads_.emplace_back([this, i] { worker_loop(i); });
-      }
+      const std::lock_guard<std::mutex> lock(jobs_mutex_);
+      // Highest priority first, FIFO within a priority level.
+      jobs_.emplace(std::make_pair(-priority, next_seq_++), std::move(job));
+      jobs_size_.store(jobs_.size(), std::memory_order_release);
     }
-    ready_.notify_one();
+    wake(1);
   }
 
-  ~ServingPool() {
+  ~Executor() {
     {
-      const std::lock_guard<std::mutex> lock(mutex_);
+      const std::lock_guard<std::mutex> lock(park_mutex_);
       stop_ = true;
     }
-    ready_.notify_all();
+    park_cv_.notify_all();
     for (std::thread& t : threads_) t.join();
   }
 
  private:
-  /// One queued job. Workers drain by (highest priority, lowest seq): the
-  /// seq tiebreak keeps equal-priority jobs strictly FIFO, so default
-  /// submissions behave exactly as before priorities existed.
-  struct Entry {
-    int priority = 0;
-    std::uint64_t seq = 0;
-    std::function<void()> job;
+  struct alignas(64) Queue {
+    std::mutex mutex;
+    std::deque<Item> items;                 // guarded by mutex
+    std::atomic<std::size_t> size{0};       // unlocked emptiness hint
+    std::atomic<std::uint64_t> started{0};  // progress, see kStall
   };
 
-  void worker_loop(std::size_t index) {
+  Executor() {
+    // The process default width: a fresh thread sees the global ICV, not
+    // a caller's omp_set_num_threads.
+    int width = 1;
+    std::thread([&width] { width = omp_get_max_threads(); }).join();
+    const auto n = static_cast<std::size_t>(std::max(width, 2));
+    for (std::size_t i = 0; i <= n; ++i)
+      queues_.push_back(std::make_unique<Queue>());
+    active_.store(static_cast<int>(n), std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i)
+      threads_.emplace_back([this, i, width] { worker_loop(i, width); });
+  }
+
+  void worker_loop(std::size_t index, int width) {
+    tls_worker = static_cast<int>(index);
+    numa::widen_narrow_mask(width);
     // Opt-in explicit NUMA placement (PPSI_NUMA=ON): workers pin
     // round-robin across the online nodes before touching any scratch, so
     // their thread_local arenas first-touch — and stay — on the bound
@@ -279,47 +233,261 @@ class ServingPool {
     if (numa::enabled() && numa::num_nodes() > 1)
       numa::bind_current_thread(numa::preferred_node_for_worker(index));
     for (;;) {
-      std::function<void()> job;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        ready_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stop_ and drained
-        auto best = queue_.begin();
-        for (auto it = std::next(best); it != queue_.end(); ++it) {
-          if (it->priority > best->priority) best = it;
+      if (std::optional<Item> item = take([](const Item&) { return true; })) {
+        execute(*item);
+      } else if (std::function<void()> job = take_job()) {
+        own().started.fetch_add(1, std::memory_order_relaxed);
+        // Last-resort backstop: every submitted job resolves its own
+        // PendingResult and contains its own failures (Solver's *_async
+        // paths); anything reaching here was already reported, so
+        // swallowing keeps the worker alive for the next job.
+        try {
+          job();
+        } catch (...) {
         }
-        job = std::move(best->job);
-        queue_.erase(best);
-      }
-      // Last-resort backstop: an exception escaping a detached serving
-      // thread is std::terminate. Every submitted job resolves its own
-      // PendingResult handle and contains its own failures (Solver's
-      // *_async paths); anything reaching here has already been reported,
-      // so swallowing keeps the worker alive for the next job.
-      try {
-        job();
-      } catch (...) {
+      } else if (!idle()) {
+        return;
       }
     }
   }
 
-  std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<Entry> queue_;
-  std::uint64_t next_seq_ = 0;  // guarded by mutex_
-  std::vector<std::thread> threads_;  // guarded by mutex_ until started
-  bool stop_ = false;
+  /// The calling worker's deque, or the injection queue off the executor.
+  Queue& own() { return *queues_[tls_worker >= 0 ? tls_worker : workers()]; }
+
+  void execute(Item item) {
+    own().started.fetch_add(1, std::memory_order_relaxed);
+    Run* const saved = tls_run;
+    tls_run = item.run;
+    item.run->execute(item.id);
+    tls_run = saved;
+  }
+
+  /// Removes the first task that `accept`s: from the own deque, then the
+  /// injection queue, then the other deques. Deques are scanned from the
+  /// newest entry, the injection queue from the oldest.
+  template <typename Accept>
+  std::optional<Item> take(const Accept& accept) {
+    const std::size_t w = workers();
+    const std::size_t self = tls_worker >= 0 ? tls_worker : w;
+    for (std::size_t k = 0; k < w + 2; ++k) {
+      const std::size_t q = k == 0 ? self : k == 1 ? w : (self + k - 1) % w;
+      if ((k == 0 && q == w) || (k > 1 && q == self)) continue;
+      Queue& queue = *queues_[q];
+      if (queue.size.load(std::memory_order_acquire) == 0) continue;
+      const std::lock_guard<std::mutex> lock(queue.mutex);
+      const std::size_t size = queue.items.size();
+      for (std::size_t j = 0; j < size; ++j) {
+        const auto it =
+            queue.items.begin() +
+            static_cast<std::ptrdiff_t>(q == w ? j : size - 1 - j);
+        if (!accept(*it)) continue;
+        const Item item = *it;
+        queue.items.erase(it);
+        queue.size.store(size - 1, std::memory_order_release);
+        return item;
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::function<void()> take_job() {
+    if (jobs_size_.load(std::memory_order_acquire) == 0) return {};
+    const std::lock_guard<std::mutex> lock(jobs_mutex_);
+    if (jobs_.empty()) return {};
+    std::function<void()> job = std::move(jobs_.begin()->second);
+    jobs_.erase(jobs_.begin());
+    jobs_size_.store(jobs_.size(), std::memory_order_release);
+    return job;
+  }
+
+  bool has_work() const {
+    return jobs_size_.load(std::memory_order_acquire) != 0 ||
+           std::any_of(queues_.begin(), queues_.end(), [](const auto& q) {
+             return q->size.load(std::memory_order_acquire) != 0;
+           });
+  }
+
+  std::uint64_t progress_total() const {
+    std::uint64_t total = 0;
+    for (const auto& q : queues_)
+      total += q->started.load(std::memory_order_relaxed);
+    return total;
+  }
+
+  /// At most workers() threads execute at once: each holds one of that
+  /// many slots. Workers hold theirs from wake-up until they run dry.
+  bool try_acquire_slot() {
+    int active = active_.load(std::memory_order_relaxed);
+    while (active < static_cast<int>(workers())) {
+      if (active_.compare_exchange_weak(active, active + 1,
+                                        std::memory_order_acq_rel))
+        return true;
+    }
+    return false;
+  }
+
+  void release_slot() {
+    active_.fetch_sub(1, std::memory_order_acq_rel);
+    if (has_work()) wake(1);
+  }
+
+  /// Out of work: gives up the slot, polls while a slot is free to come
+  /// back to, then sleeps until there is work and a free slot. Returns
+  /// holding a slot, or false once the executor stops with no work left.
+  bool idle() {
+    active_.fetch_sub(1, std::memory_order_acq_rel);
+    const auto since = Clock::now();
+    while (Clock::now() - since < kSpin &&
+           active_.load(std::memory_order_relaxed) <
+               static_cast<int>(workers())) {
+      if (has_work() && try_acquire_slot()) return true;
+      std::this_thread::yield();
+    }
+    for (;;) {
+      const std::uint64_t seen = epoch_.load(std::memory_order_seq_cst);
+      const bool work = has_work();
+      if (work && try_acquire_slot()) return true;
+      std::unique_lock<std::mutex> lock(park_mutex_);
+      if (stop_ && !work) return false;
+      sleepers_.fetch_add(1, std::memory_order_seq_cst);
+      park_cv_.wait(lock, [&] {
+        return stop_ || epoch_.load(std::memory_order_seq_cst) != seen;
+      });
+      sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// Announces `n` new tasks or jobs (or a freed slot): bumps the epoch a
+  /// sleeping worker re-checks under park_mutex_, and wakes up to `n`.
+  void wake(std::size_t n) {
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    const int sleeping = sleepers_.load(std::memory_order_seq_cst);
+    if (sleeping == 0) return;
+    const std::lock_guard<std::mutex> lock(park_mutex_);
+    if (n >= static_cast<std::size_t>(sleeping)) {
+      park_cv_.notify_all();
+    } else {
+      for (std::size_t i = 0; i < n; ++i) park_cv_.notify_one();
+    }
+  }
+
+  std::vector<std::unique_ptr<Queue>> queues_;  // per worker + injection
+
+  std::mutex jobs_mutex_;
+  std::map<std::pair<int, std::uint64_t>, std::function<void()>>
+      jobs_;                               // guarded by jobs_mutex_
+  std::uint64_t next_seq_ = 0;             // guarded by jobs_mutex_
+  std::atomic<std::size_t> jobs_size_{0};  // unlocked emptiness hint
+
+  std::mutex park_mutex_;
+  std::condition_variable park_cv_;
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<int> sleepers_{0};  // modified under park_mutex_
+  std::atomic<int> active_{0};    // slots held, see try_acquire_slot
+  bool stop_ = false;             // guarded by park_mutex_
+  std::vector<std::thread> threads_;  // last: the workers use the above
 };
+
+/// Pushes `ids` of `run` and joins it (the executor path of run/fork).
+void start(Run& run, const std::uint32_t* ids, std::size_t n) {
+  Executor& executor = Executor::instance();
+  executor.push(&run, ids, n);
+  executor.join(run);
+}
 
 }  // namespace
 
+void Run::execute(std::uint32_t id,
+                  std::vector<std::uint32_t>* inline_ready) {
+  if (!failed_.load(std::memory_order_acquire)) {
+    try {
+      if (graph_ == nullptr) {
+        (*body_)(id);
+      } else if (graph_->nodes_[id].fn) {
+        PPSI_FAULT_POINT("scheduler.task");
+        graph_->nodes_[id].fn();
+      }
+    } catch (...) {
+      // The run's outcome is decided; later tasks skip their bodies but
+      // still release successors, so the graph drains and joins.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      failed_.store(true, std::memory_order_release);
+    }
+  }
+  if (graph_ != nullptr) {
+    std::vector<std::uint32_t> ready;
+    for (const std::uint32_t succ : graph_->nodes_[id].successors) {
+      if (graph_->nodes_[succ].pending.fetch_sub(
+              1, std::memory_order_acq_rel) == 1)
+        ready.push_back(succ);
+    }
+    if (inline_ready != nullptr)
+      inline_ready->insert(inline_ready->end(), ready.begin(), ready.end());
+    else if (!ready.empty())
+      Executor::instance().push(this, ready.data(), ready.size());
+  }
+  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  done_ = true;
+  done_cv_.notify_all();
+}
+
+}  // namespace detail
+
+int num_threads() {
+  const detail::Run* run = detail::tls_run;
+  return run != nullptr ? run->width : omp_get_max_threads();
+}
+
+void Scheduler::run(TaskGraph& graph) {
+  const std::size_t n = graph.nodes_.size();
+  if (n == 0) return;
+  // Snapshot the root set before anything runs: once the first root is
+  // live, successors' counters may reach zero concurrently, and reading
+  // live counters would spawn such a successor twice.
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    if (graph.nodes_[id].pending.load(std::memory_order_relaxed) == 0)
+      ready.push_back(id);
+  }
+  require(!ready.empty(), "Scheduler::run: dependency cycle in TaskGraph");
+  detail::Run run(&graph, nullptr, n);
+  if (num_threads() > 1) {
+    detail::start(run, ready.data(), ready.size());
+    return;
+  }
+  // Width 1: execute inline in a topological order. Outputs are identical
+  // by the determinism contract, and nested runs from inside these tasks
+  // take this same path. FIFO (cursor over a grow-only worklist), not a
+  // stack: lowest-id-ready-first preserves the low-index completion bias
+  // first-accepting-index queries rely on for their cancellation watermark
+  // (solve_all_slices's window chains would otherwise drain highest chain
+  // first). Failures are contained as on the executor.
+  for (std::size_t next = 0; next < ready.size(); ++next)
+    run.execute(ready[next], &ready);
+  require(ready.size() == n, "Scheduler::run: dependency cycle in TaskGraph");
+  if (run.error()) std::rethrow_exception(run.error());
+}
+
+void Scheduler::fork(std::size_t n, ForkBody body) {
+  if (n <= 1 || num_threads() == 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  std::vector<std::uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  detail::Run run(nullptr, &body, n);
+  detail::start(run, ids.data(), n);
+}
+
 void Scheduler::submit(std::function<void()> job, int priority) {
-  ServingPool::instance().submit(std::move(job), priority);
+  detail::Executor::instance().submit(std::move(job), priority);
 }
 
 void Scheduler::submit(TaskGraph graph, std::function<void()> on_complete) {
   // shared_ptr: std::function requires copyable callables, and the graph
-  // must survive until the serving thread runs it.
+  // must survive until a worker runs it.
   auto owned = std::make_shared<TaskGraph>(std::move(graph));
   submit([owned, on_complete = std::move(on_complete)] {
     Scheduler::run(*owned);
@@ -328,87 +496,7 @@ void Scheduler::submit(TaskGraph graph, std::function<void()> on_complete) {
 }
 
 std::size_t Scheduler::serving_threads() {
-  return ServingPool::thread_count();
-}
-
-void Scheduler::run(TaskGraph& graph) {
-  if (graph.size() == 0) return;
-  if (!omp_in_parallel() && omp_get_max_threads() == 1) {
-    // Serial fast path: with one thread there is nothing to overlap, so
-    // skip the region/task/handoff machinery and execute inline in a
-    // topological order. Outputs are identical by the determinism
-    // contract (tasks write disjoint slots; callers replay reductions in
-    // canonical order), and nested runs from inside these tasks take this
-    // same path (no region is ever opened). FIFO (cursor over a grow-only
-    // worklist), not a stack: lowest-id-ready-first preserves the
-    // low-index completion bias first-accepting-index queries rely on for
-    // their cancellation watermark (solve_all_slices's window chains
-    // would otherwise drain highest chain first).
-    std::vector<std::uint32_t> ready;
-    const std::size_t n = graph.nodes_.size();
-    for (std::uint32_t id = 0; id < n; ++id) {
-      if (graph.nodes_[id].pending.load(std::memory_order_relaxed) == 0)
-        ready.push_back(id);
-    }
-    // Mirrors GraphRun's containment: record the first task failure, skip
-    // later bodies, keep draining so the cycle check below stays valid,
-    // then rethrow to the caller.
-    std::exception_ptr error;
-    for (std::size_t next = 0; next < ready.size(); ++next) {
-      TaskGraph::Node& node = graph.nodes_[ready[next]];
-      if (node.fn && !error) {
-        try {
-          PPSI_FAULT_POINT("scheduler.task");
-          node.fn();
-        } catch (...) {
-          error = std::current_exception();
-        }
-      }
-      for (const std::uint32_t succ : node.successors) {
-        if (graph.nodes_[succ].pending.fetch_sub(
-                1, std::memory_order_relaxed) == 1) {
-          ready.push_back(succ);
-        }
-      }
-    }
-    require(ready.size() == n, "Scheduler::run: dependency cycle in TaskGraph");
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-  detail::GraphRun state(graph);
-  state.publish();
-  if (omp_in_parallel()) {
-    // Nested start (e.g. a slice task spawning its path tasks): the tasks
-    // join the enclosing team; the taskgroup in run_all suspends this task
-    // and lets the thread execute descendants meanwhile. The member
-    // published_/finished_ atomics carry the fork/join edges (caller and
-    // task bodies touch them directly; no region struct is involved).
-    state.run_all();
-    state.rethrow_if_failed();
-  } else {
-#pragma omp parallel default(shared)
-    {
-      if (omp_get_thread_num() == 0)
-        fork_epoch.fetch_add(1, std::memory_order_release);
-#pragma omp barrier
-      fork_epoch.load(std::memory_order_acquire);
-#pragma omp single nowait
-      state.run_all();
-      // Threads other than the one taking `single` fall through to the
-      // region's implicit barrier, where they execute spawned tasks
-      // (whose accesses the member finished_ counter orders; see
-      // await_joined below).
-      join_epoch.fetch_add(1, std::memory_order_release);
-    }
-    // Region joined: every thread's join increment really happened, so
-    // this acquire-load observes them all and orders their non-task work
-    // before the caller continues; the finished_ spin covers the task
-    // bodies themselves (the `single` — and its await_joined — may have
-    // run on a worker, so the returning thread must own both edges).
-    join_epoch.load(std::memory_order_acquire);
-    state.await_joined();
-    state.rethrow_if_failed();
-  }
+  return detail::Executor::instance().workers();
 }
 
 }  // namespace ppsi::support

@@ -1,16 +1,43 @@
 #pragma once
 
-// Dependency-driven task scheduler on OpenMP tasks.
+// One process-wide work-stealing executor for every kind of parallelism:
+// detached serving jobs (Scheduler::submit), dependency-driven TaskGraphs
+// (Scheduler::run) and the fork-join loops of support/parallel.hpp
+// (Scheduler::fork). A query's slice tasks, its path tasks and its
+// parallel_for chunks all run on the same workers as the queries
+// themselves, so admitting more queries never adds threads.
 //
-// The engines' parallelism used to be fork-join `parallel_for` with a full
-// barrier after every layer of every slice. A TaskGraph instead names each
-// unit of work once, wires explicit predecessor edges, and Scheduler::run
-// executes the graph with atomic ready-counters: every task holds the
-// number of unfinished predecessors, the last predecessor to finish spawns
-// it, and nothing waits at a layer boundary. One OMP thread team executes
-// every level of nesting — a graph started from inside a running task
-// (slice tasks spawning path tasks) shares the enclosing team instead of
-// opening a nested region.
+// Executor. max(P, 2) worker threads, where P is the process default width
+// (omp_get_max_threads() of a fresh thread, i.e. OMP_NUM_THREADS or the
+// core count); the floor of two keeps one worker free while a serving job
+// blocks (a parked SolverPool query). Each worker owns a deque: it pushes
+// the tasks it spawns and pops the newest one, and idle workers steal the
+// newest task of another deque, so the lowest ready index of the innermost
+// run is the next one taken (the low-index completion bias
+// first-accepting-index queries rely on). Tasks pushed from outside the
+// executor go to a FIFO injection queue. Idle workers prefer tasks to
+// detached jobs, poll for about a millisecond, then sleep on a condition
+// variable until work arrives.
+//
+// Slots. At most workers() threads execute at once: every executing thread
+// holds one of that many slots, and a worker gives its slot up when it
+// runs out of work. A thread outside the executor that waits in run() or
+// fork() executes tasks only while it holds a slot an idle worker left
+// free, so callers never add threads on top of the workers. The one
+// exception keeps such a caller live: once no task anywhere has started
+// for 50 ms (every worker blocked, e.g. on a lock the caller holds), it
+// executes its own run's tasks without a slot.
+//
+// Width. A run's width is num_threads() on the calling thread, and tasks
+// of the run see that width as their own num_threads(), so nested runs
+// and loops inherit it. Width 1 executes inline on the caller (no
+// executor). The width fixes the static block partition of the fork-join
+// loops; it does not reserve threads.
+//
+// Helping join. A thread waiting in run() or fork() executes only tasks of
+// that run and of runs nested inside them, never an unrelated sibling, so
+// holding a mutex across a run cannot deadlock against another task of
+// the same run that takes the same mutex.
 //
 // Determinism contract: the scheduler never decides *what* is computed,
 // only *when*. Tasks must write disjoint state (or accumulate through
@@ -20,31 +47,9 @@
 // thread count and schedule (pinned by tests/differential/
 // test_differential_threads.cpp).
 //
-// Memory-model notes (the CI TSan job runs against an uninstrumented
-// libgomp whose barriers/task queues it cannot see, so every edge the
-// correctness argument needs is mirrored with C++ atomics):
-//   * fork: run() release-publishes the graph before spawning; every task
-//     acquire-loads that flag first,
-//   * dependency: predecessor completion decrements the successor's ready
-//     counter with acq_rel; the successor acquire-loads its own counter on
-//     entry, synchronizing with the whole release sequence of decrements,
-//   * join: every task release-increments a finished counter; run()
-//     acquire-spins on it after the taskgroup (the spin is momentary — the
-//     taskgroup already joined — it only makes the edge TSan-visible),
-//   * handoff: spawned OMP tasks capture nothing (libgomp's firstprivate
-//     copy lives in uninstrumented runtime memory); the (run, task) pair
-//     travels through a pthread-mutex-guarded LIFO stack instead
-//     (scheduler.cpp), and the region fork/join is mirrored by global
-//     epoch counters incremented inside the region.
-//
-// Locking discipline: a thread suspended at a nested run()'s taskgroup may
-// pick up ANY queued task of the team — libgomp observably runs sibling
-// tasks there, not just descendants — so a task that holds a lock while
-// calling run() (or anything that spawns tasks) can find an arbitrary
-// other task on its own stack trying to take the same lock: deadlock.
-// NEVER hold a mutex across a TaskGraph run. Parallel work under a lock
-// belongs in support::parallel_for, whose nested regions cannot steal
-// tasks (the cover cache's decompose fan-out does exactly this).
+// Failure containment: the first exception of a run is recorded, later
+// tasks of the run skip their bodies (but still release their successors,
+// so the graph drains), and run()/fork() rethrow it on the caller.
 //
 // Cooperative cancellation rides along as a CancelWatermark: "first
 // accepting index wins" queries lower the watermark when an index accepts,
@@ -57,6 +62,7 @@
 // cancellation sources.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -66,8 +72,13 @@
 namespace ppsi::support {
 
 namespace detail {
-class GraphRun;  // scheduler.cpp: one run()'s execution state
+class Run;  // scheduler.cpp: one run()/fork()'s execution state
 }
+
+/// Width of the parallel work started on this thread: inside an executor
+/// task, the width of the task's run; elsewhere omp_get_max_threads()
+/// (OMP_NUM_THREADS, or omp_set_num_threads on this thread).
+int num_threads();
 
 /// Monotone-decreasing index watermark for first-accepting-index queries.
 /// Thread-safe; starts at kNone (nothing accepted, nothing obsolete).
@@ -137,7 +148,7 @@ class TaskGraph {
 
  private:
   friend class Scheduler;
-  friend class detail::GraphRun;
+  friend class detail::Run;
 
   struct Node {
     Fn fn;
@@ -156,32 +167,52 @@ class TaskGraph {
   std::vector<Node> nodes_;
 };
 
-/// Executes TaskGraphs on the process-wide OMP thread pool.
+/// Non-owning view of a `void(std::size_t)` callable for Scheduler::fork;
+/// the callable must outlive the fork (it does: fork joins before
+/// returning).
+class ForkBody {
+ public:
+  template <typename F>
+  explicit ForkBody(F& f)
+      : ctx_(&f), call_([](void* ctx, std::size_t i) {
+          (*static_cast<F*>(ctx))(i);
+        }) {}
+  void operator()(std::size_t i) const { call_(ctx_, i); }
+
+ private:
+  void* ctx_;
+  void (*call_)(void*, std::size_t);
+};
+
+/// Entry points of the process-wide executor.
 class Scheduler {
  public:
-  /// Runs `graph` to completion. Callable from outside any parallel region
-  /// (opens one) or from inside a running task (spawns into the enclosing
-  /// team; the caller participates in executing descendants while waiting).
-  /// A graph is single-use: run it once.
+  /// Runs `graph` to completion and rethrows its first task failure.
+  /// Callable from any thread, including from inside a running task (the
+  /// nested run's tasks join the same executor and the waiting thread
+  /// helps execute them). A graph is single-use: run it once.
   static void run(TaskGraph& graph);
 
-  /// Detached submission for the serving layer: enqueues `job` on a small
-  /// process-wide pool of serving threads and returns immediately. Jobs
-  /// drain highest `priority` first, FIFO within a priority level (the
-  /// default 0 keeps plain submissions strictly FIFO; SolverPool maps its
-  /// admission classes onto this so an interactive dispatch overtakes
-  /// already-enqueued bulk ones). Up to serving_threads() jobs run
-  /// concurrently; a job is free to open OMP parallel regions of its own
-  /// — i.e. to call Scheduler::run — each serving thread owns an
-  /// independent team. Completion is the caller's to observe (e.g. through
-  /// a PendingResult); the pool drains and joins at process exit.
+  /// Runs body(i) for every i in [0, n) as n independent tasks and joins,
+  /// rethrowing the first failure. The fork-join primitive under
+  /// support::parallel_for and friends.
+  static void fork(std::size_t n, ForkBody body);
+
+  /// Detached submission for the serving layer: enqueues `job` and returns
+  /// immediately (never runs it inline). Jobs drain highest `priority`
+  /// first, FIFO within a priority level (the default 0 keeps plain
+  /// submissions strictly FIFO; SolverPool maps its admission classes
+  /// onto this so an interactive dispatch overtakes already-enqueued bulk
+  /// ones). Idle workers take jobs after tasks of runs already in flight.
+  /// Completion is the caller's to observe (e.g. through a PendingResult);
+  /// the executor drains queued jobs and joins at process exit.
   static void submit(std::function<void()> job, int priority = 0);
 
   /// Convenience: runs `graph` detached, then `on_complete` (if any).
-  /// The graph is owned by the submission; both run on a serving thread.
+  /// The graph is owned by the submission; both run on a worker.
   static void submit(TaskGraph graph, std::function<void()> on_complete);
 
-  /// Number of serving threads backing submit().
+  /// Number of executor workers, each able to run one detached job.
   static std::size_t serving_threads();
 };
 

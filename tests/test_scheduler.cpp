@@ -4,17 +4,23 @@
 // tests pin its contract directly: dependency edges are honored (a task
 // never starts before every predecessor finished), every task runs exactly
 // once, graphs nest (tasks starting graphs of their own on the shared
-// team, the slice×path shape), and the cancellation watermark is a
-// monotone minimum. ctest runs the suite under OMP_NUM_THREADS=1 and =4.
+// executor, the slice×path shape), concurrent callers share the workers,
+// a mutex may be held across a nested run, and the cancellation watermark
+// is a monotone minimum. ctest runs the suite under OMP_NUM_THREADS=1 and
+// =4.
 
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "support/scheduler.hpp"
@@ -186,6 +192,92 @@ TEST(TaskGraph, RunsFromInsideParallelRegion) {
   EXPECT_EQ(g_region_runs.load(), 32);
 }
 
+TEST(TaskGraph, ConcurrentRunsShareTheWorkers) {
+  // Two callers each run a 64-task graph of ~1 ms bodies. Both graphs run
+  // on the one executor, so the bodies executing at once never exceed the
+  // process width (no per-caller team on top of the workers). At width 1
+  // each caller runs its graph inline, one body per caller.
+  constexpr int kCallers = 2;
+  std::atomic<int> running{0};
+  std::atomic<int> high_water{0};
+  const auto body = [&] {
+    const int now = running.fetch_add(1) + 1;
+    int seen = high_water.load();
+    while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    running.fetch_sub(1);
+  };
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      TaskGraph graph;
+      for (int i = 0; i < 64; ++i) graph.add(body);
+      Scheduler::run(graph);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  const int width = num_threads();
+  EXPECT_GE(high_water.load(), 1);
+  EXPECT_LE(high_water.load(), width == 1 ? kCallers : width);
+}
+
+TEST(TaskGraph, MutexHeldAcrossANestedRunDoesNotDeadlock) {
+  // An outer task holds a mutex across a nested run while its sibling
+  // tasks take the same mutex. A thread waiting in run() only executes
+  // tasks of that run (and of runs nested in them), so no sibling can land
+  // on the holder's stack and self-deadlock it. The watchdog turns a
+  // deadlock into a failure instead of a hang.
+  std::mutex watchdog_mutex;
+  std::condition_variable watchdog_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(watchdog_mutex);
+    if (!watchdog_cv.wait_for(lock, std::chrono::seconds(10),
+                              [&] { return finished; })) {
+      std::fprintf(stderr,
+                   "deadlock: a run under a held mutex did not finish "
+                   "within 10 s\n");
+      std::_Exit(EXIT_FAILURE);
+    }
+  });
+
+  constexpr int kSiblings = 16;
+  constexpr int kInner = 32;
+  std::mutex shared;
+  std::atomic<int> sibling_runs{0};
+  std::atomic<int> inner_runs{0};
+  for (int trial = 0; trial < 5; ++trial) {
+    TaskGraph outer;
+    outer.add([&] {
+      const std::lock_guard<std::mutex> hold(shared);
+      TaskGraph inner;
+      for (int i = 0; i < kInner; ++i) {
+        inner.add([&] {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          inner_runs.fetch_add(1);
+        });
+      }
+      Scheduler::run(inner);
+    });
+    for (int i = 0; i < kSiblings; ++i) {
+      outer.add([&] {
+        const std::lock_guard<std::mutex> take(shared);
+        sibling_runs.fetch_add(1);
+      });
+    }
+    Scheduler::run(outer);
+  }
+  {
+    const std::lock_guard<std::mutex> lock(watchdog_mutex);
+    finished = true;
+  }
+  watchdog_cv.notify_all();
+  watchdog.join();
+  EXPECT_EQ(inner_runs.load(), 5 * kInner);
+  EXPECT_EQ(sibling_runs.load(), 5 * kSiblings);
+}
+
 TEST(CancelWatermark, StartsOpenAndTakesTheMinimum) {
   CancelWatermark mark;
   EXPECT_EQ(mark.watermark(), CancelWatermark::kNone);
@@ -344,8 +436,8 @@ TEST(ServingPool, SubmittedTaskGraphRunsToCompletion) {
 }
 
 TEST(ServingPool, SubmittedJobsCanOpenTheirOwnTaskGraphs) {
-  // A serving thread is a plain thread: jobs on it run nested Scheduler
-  // work of their own (this is how *_async queries execute).
+  // A job runs on an executor worker and may run nested Scheduler work of
+  // its own (this is how *_async queries execute).
   std::mutex mutex;
   std::condition_variable done;
   int total = -1;

@@ -16,6 +16,7 @@
 #include "api/budget.hpp"
 #include "api/solver.hpp"
 #include "graph/generators.hpp"
+#include "isomorphism/state_enumeration.hpp"
 #include "support/cancel.hpp"
 
 namespace ppsi {
@@ -810,6 +811,37 @@ TEST(SolverAsyncAdmission, ShedStatusHasAName) {
   EXPECT_EQ(std::string(to_string(Priority::kInteractive)), "interactive");
   EXPECT_EQ(std::string(to_string(Priority::kNormal)), "normal");
   EXPECT_EQ(std::string(to_string(Priority::kBulk)), "bulk");
+}
+
+// A 16-vertex path on a 20x20 grid decomposes its slices into bags of 21
+// vertices: 16 fields of ceil(log2(23)) = 5 bits overflow the 64-bit state
+// code. The query is outside the codec's range, which is a typed
+// kUnsupported decided before any DP runs, never a contained kInternal.
+TEST(SolverCodecRange, OversizedStateIsUnsupportedBeforeAnyDp) {
+  Solver solver(gen::grid_graph(20, 20));
+  QueryOptions opts;
+  opts.max_runs = 2;
+  const auto result =
+      solver.find(Pattern::from_graph(gen::path_graph(16)), opts);
+  ASSERT_EQ(result.status().code(), StatusCode::kUnsupported)
+      << result.status().to_string();
+  EXPECT_NE(result.status().message().find("64"), std::string::npos);
+  EXPECT_EQ(result->slices_solved, 0u);  // the cover was built, no slice solved
+
+  const auto listed =
+      solver.list(Pattern::from_graph(gen::path_graph(16)), opts);
+  EXPECT_EQ(listed.status().code(), StatusCode::kUnsupported);
+}
+
+TEST(SolverCodecRange, SupportsNamesBothBounds) {
+  // Bags: at most 56 vertices (the separating label width).
+  EXPECT_TRUE(iso::StateCodec::supports(4, 56));
+  EXPECT_FALSE(iso::StateCodec::supports(4, 57));
+  // Codes: k fields of ceil(log2(bag + 2)) bits in 64.
+  EXPECT_TRUE(iso::StateCodec::supports(16, 14));   // 16 * 4 = 64
+  EXPECT_FALSE(iso::StateCodec::supports(16, 15));  // 16 * 5 = 80
+  EXPECT_TRUE(iso::StateCodec::supports(10, 56));   // 10 * 6 = 60
+  EXPECT_FALSE(iso::StateCodec::supports(11, 56));  // 11 * 6 = 66
 }
 
 }  // namespace

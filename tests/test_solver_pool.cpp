@@ -850,5 +850,25 @@ TEST(SolverPoolDynamic, EditsRacingAsyncQueriesNeverMixVersions) {
   }
 }
 
+TEST(SolverPool, CodecRangeIsUnsupportedNotInternal) {
+  // Same out-of-range query as SolverCodecRange in test_solver.cpp, served
+  // through admission: the typed status survives the pool, and the pool
+  // does not count or retry it as a contained failure.
+  SolverPool pool;
+  const TargetId grid = pool.add_target(gen::grid_graph(20, 20));
+  QueryOptions opts;
+  opts.max_runs = 2;
+  Admission admission;
+  admission.max_retries = 2;
+  auto handle = pool.find_async(grid, Pattern::from_graph(gen::path_graph(16)),
+                                opts, admission);
+  const auto& result = handle.get();
+  EXPECT_EQ(result.status().code(), StatusCode::kUnsupported)
+      << result.status().to_string();
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.contained, 0u);
+  EXPECT_EQ(stats.retried, 0u);
+}
+
 }  // namespace
 }  // namespace ppsi

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "support/metrics.hpp"
+#include "support/numa.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -220,6 +226,32 @@ TEST(Hashing, SplitmixSpreads) {
   }
   EXPECT_LT(collisions, 5u);
 }
+
+#if defined(__linux__)
+TEST(NumaPlacement, NarrowInheritedMaskIsWidened) {
+  // A thread pinned to one CPU (as libgomp pins the initial thread under
+  // OMP_PROC_BIND) regains the online CPUs when asked for two; a mask
+  // already wide enough is kept.
+  cpu_set_t process;
+  ASSERT_EQ(sched_getaffinity(0, sizeof process, &process), 0);
+  if (CPU_COUNT(&process) < 2) GTEST_SKIP() << "needs two usable CPUs";
+  int first = 0;
+  while (!CPU_ISSET(first, &process)) ++first;
+  std::thread([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    numa::widen_narrow_mask(1);  // one CPU is enough: kept
+    cpu_set_t mask;
+    ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+    EXPECT_EQ(CPU_COUNT(&mask), 1);
+    numa::widen_narrow_mask(2);
+    ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+    EXPECT_GE(CPU_COUNT(&mask), 2);
+  }).join();
+}
+#endif
 
 }  // namespace
 }  // namespace ppsi::support
