@@ -16,10 +16,14 @@
 //                              nesting path tasks on the shared pool)
 //   listing/<family>/<pat>   — Solver::list (stopping rule, many covers)
 //   schedule/<family>/<pat>  — solve_parallel task-graph vs layer-barrier
+//                              (a decomposition whose bags exceed the
+//                              state codec is reported as unsupported,
+//                              with counter unsupported = 1)
 
 #include <omp.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "api/solver.hpp"
@@ -92,9 +96,25 @@ void add_listing(Registry& reg, const std::string& name, const Graph& g,
 
 void add_schedule_ab(Registry& reg, const std::string& name, const Graph& g,
                      const iso::Pattern& pattern) {
-  reg.add("schedule/" + name, [g, pattern](Trial& trial) {
+  reg.add("schedule/" + name, [name, g, pattern](Trial& trial) {
     const auto td =
         treedecomp::binarize(treedecomp::greedy_decomposition(g));
+    // solve_parallel takes the decomposition as given (no cover slicing),
+    // so a bag past the state codec's range is reported, not thrown.
+    std::size_t max_bag = 1;
+    for (const auto& bag : td.bags) max_bag = std::max(max_bag, bag.size());
+    if (!iso::StateCodec::supports(pattern.size(), max_bag)) {
+      if (trial.repetition() == 0) {
+        std::fprintf(stderr,
+                     "bench_scaling: schedule/%s unsupported: a bag of %zu "
+                     "vertices is outside the 64-bit state codec for a "
+                     "%u-vertex pattern (bags may hold at most 56 vertices "
+                     "and k * ceil(log2(bag + 2)) must not exceed 64)\n",
+                     name.c_str(), max_bag, pattern.size());
+      }
+      trial.counter("unsupported", 1);
+      return;
+    }
     iso::ParallelOptions barrier;
     barrier.schedule = iso::ParallelSchedule::kLayerBarrier;
     double barrier_sec = 0;

@@ -13,9 +13,12 @@
 // footprint high-water mark, which solves surface through
 // support::Metrics (allocs / scratch_peak_bytes).
 //
-// Output storage (SolvedNode's state array, flat index, and CSR signature
-// groups) is not scratch: it persists in the DpSolution and is sized
-// exactly and written once per node.
+// Output storage (SolvedNode's state array and CSR signature groups) is
+// not scratch: it persists in the DpSolution and is sized exactly and
+// written once per node. The sparse engine's dedup table is scratch: it
+// lives here, is reused by every node the thread solves, and is emptied
+// after each node in O(that node's states) — never by a sweep of its
+// high-water bucket array.
 
 #include <cstdint>
 #include <utility>
@@ -45,9 +48,10 @@ struct PathNodeMeta {
 struct DpScratch {
   support::ScratchArena arena;
 
-  // solve_node_exact: surviving candidates, staged before the exact-sized
-  // copy into the SolvedNode.
+  // solve_node_exact / solve_sparse: a node's states, staged before the
+  // exact-sized copy into the SolvedNode, and (sparse) their dedup table.
   std::vector<StateKey> exact_states;
+  StateIndexMap sparse_index;
 
   // build_sig_groups: (signature, state index) pairs fed to SigIndex.
   std::vector<std::pair<StateKey, std::uint32_t>> sig_pairs;

@@ -44,14 +44,6 @@ NodeEnv make_env(const treedecomp::TreeDecomposition& td,
   return env;
 }
 
-bool accepting_state(const StateCodec& codec, bool separating, StateKey s) {
-  const StateView view = view_of(codec, s.code);
-  if (view.u_mask != 0) return false;
-  if (separating)
-    return (s.sep & kSepIx) != 0 && (s.sep & kSepOx) != 0;
-  return true;
-}
-
 }  // namespace
 
 namespace detail {
@@ -66,8 +58,8 @@ void solve_node_exact(const Graph&, const treedecomp::TreeDecomposition& td,
   const StateCodec& codec = solution.codec;
   const NodeEnv env = make_env(td, ctxs, solution.nodes, x);
   // Survivors stage through the thread's scratch; the node's storage is
-  // then sized exactly (states + flat index), so a solved node never
-  // carries growth slack and the scratch arena absorbs all churn.
+  // then sized exactly, so a solved node never carries growth slack and
+  // the scratch arena absorbs all churn.
   DpScratch& scratch = DpScratch::local();
   std::vector<StateKey>& survivors = scratch.exact_states;
   const std::size_t bytes_before = support::ScratchArena::bytes_of(survivors);
@@ -95,9 +87,6 @@ void solve_node_exact(const Graph&, const treedecomp::TreeDecomposition& td,
   scratch.arena.settle(bytes_before,
                        support::ScratchArena::bytes_of(survivors));
   node.states.assign(survivors.begin(), survivors.end());
-  // node.index stays empty: only the generate-side sparse engine needs a
-  // state lookup (dedup during construction); the filter-side engines have
-  // no reader, so building one here would be pure dead work.
 }
 
 void build_sig_groups(const treedecomp::TreeDecomposition& td,
@@ -176,7 +165,7 @@ DpSolution solve_sequential(const Graph& g,
 
   const SolvedNode& root = sol.nodes[td.root];
   for (std::uint32_t i = 0; i < root.states.size(); ++i) {
-    if (accepting_state(codec, separating, root.states[i]))
+    if (detail::accepting_state(codec, separating, root.states[i]))
       sol.accepting.push_back(i);
   }
   sol.accepted = !sol.accepting.empty();

@@ -14,17 +14,18 @@
 //
 // ---- State-storage layout (flat engine) ----
 //
-// A SolvedNode stores its states in three exactly-sized structures:
+// A SolvedNode stores its states in two exactly-sized structures:
 //   * states      — the valid StateKeys, in discovery order (the engines'
 //                   canonical order; every index below refers into it),
-//   * index       — open-addressing flat table StateKey -> state index
-//                   (support/flat_table.hpp), one contiguous bucket array,
 //   * sig_groups  — CSR signature groups toward the parent
 //                   (isomorphism/sig_index.hpp): sorted signature array +
 //                   offsets + flat state-index array.
-// All three are built once per node with exact reserves; the per-thread
-// scratch arena (isomorphism/dp_scratch.hpp) supplies every intermediate
-// buffer, so the engines do no steady-state scratch allocation after
+// Both are built once per node with exact reserves. Every intermediate
+// buffer is per-thread scratch (isomorphism/dp_scratch.hpp): the engines
+// stage a node's states there and copy them out exactly once, and the
+// sparse engine's StateKey -> state dedup table lives there too (reset in
+// O(states) after each node; nothing reads it once the node is solved).
+// The engines therefore do no steady-state scratch allocation after
 // warmup.
 //
 // Instrumented work counts are *layout-invariant*: the counters tick per
@@ -61,12 +62,10 @@ using Assignment = std::vector<Vertex>;
 
 struct SolvedNode {
   BagContext ctx;
-  std::vector<StateKey> states;  ///< valid states
-  /// StateKey -> index into `states` (open addressing). Maintained only by
-  /// the generate-side sparse engine, which needs the lookup to dedup
-  /// states as it constructs them; the filter-side engines
-  /// (sequential/parallel) have no reader and leave it empty.
-  support::FlatMap<StateKey, StateKeyHash> index;
+  /// Valid states, in discovery order. Solved nodes carry no state
+  /// lookup: the sparse engine dedups in per-thread scratch while it
+  /// generates, and nothing looks a state up afterwards.
+  std::vector<StateKey> states;
   /// CSR groups: projection toward the parent -> valid-state indices.
   SigIndex sig_groups;
   std::uint64_t shared_with_parent = 0;  ///< parent positions (set on parent)
@@ -75,7 +74,6 @@ struct SolvedNode {
   /// consumed this node).
   void release_interior() {
     std::vector<StateKey>().swap(states);
-    index = {};
     sig_groups.release();
   }
 };
@@ -285,13 +283,21 @@ bool for_each_support_combo_ref(const StateCodec& codec, const BagContext& ctx,
 
 /// Solves one node exactly against its (already solved) children:
 /// enumerates the locally valid states and keeps the supported ones.
-/// Fills solution.nodes[x].states/index with exact reserves, staging
+/// Fills solution.nodes[x].states with an exact reserve, staging
 /// through the thread's scratch; sig_groups are built separately.
 void solve_node_exact(const Graph& g, const treedecomp::TreeDecomposition& td,
                       const Pattern& pattern,
                       const std::vector<BagContext>& ctxs,
                       treedecomp::NodeId x, bool separating,
                       DpSolution& solution, std::uint64_t* work);
+
+/// True when a root state is a complete occurrence: no pattern vertex left
+/// U, and in separating mode S vertices both inside and outside.
+inline bool accepting_state(const StateCodec& codec, bool separating,
+                            StateKey s) {
+  if (view_of(codec, s.code).u_mask != 0) return false;
+  return !separating || ((s.sep & kSepIx) != 0 && (s.sep & kSepOx) != 0);
+}
 
 /// Builds solution.nodes[x].sig_groups (projections toward the parent).
 void build_sig_groups(const treedecomp::TreeDecomposition& td,

@@ -2,17 +2,20 @@
 
 // Open-addressing flat hash map with 32-bit mapped values.
 //
-// The DP engine keeps one table per solved decomposition node mapping a
-// packed partial-match key to its index in the node's state array. The
-// tables sit on the hottest lookup path of the engine, so the layout is a
-// single contiguous bucket array (key + value side by side), probed
+// The DP engines map packed partial-match keys to state indices with it:
+// the sparse engine dedups each node's generated states through one
+// per-thread table reused node after node (erase_keys empties it in
+// O(entries)), and the path engine indexes each path node's candidates.
+// The tables sit on the hottest lookup path of the engine, so the layout
+// is a single contiguous bucket array (key + value side by side), probed
 // linearly from a power-of-two hash slot:
 //   * no per-node heap graph (std::unordered_map allocates one node per
 //     entry and chases a pointer per probe),
 //   * `reserve(n)` performs the single exact allocation for n entries
 //     (callers that know the final size never rehash),
-//   * emplace-only mutation: values are never overwritten, which is all
-//     the engine needs and keeps the probe loop branch-light.
+//   * values are never overwritten, which keeps the probe loop branch-
+//     light; entries leave only through clear() or erase() (backward-shift
+//     deletion, no tombstones), so probes never skip dead buckets.
 //
 // The mapped value doubles as the bucket-empty sentinel, so kFlatNotFound
 // (0xffffffff) is not a storable value — state indices are bounded far
@@ -59,6 +62,59 @@ class FlatMap {
   /// extra compare in the hot find/emplace probes, a bad trade here.
   void clear() {
     for (Bucket& b : buckets_) b.value = kFlatNotFound;
+    size_ = 0;
+  }
+
+  /// Removes `key` when present; returns true when it was. Backward-shift
+  /// deletion: later members of the key's probe cluster move up into the
+  /// hole, so every remaining entry stays findable without tombstones.
+  bool erase(const Key& key) {
+    if (buckets_.empty()) return false;
+    const std::size_t mask = buckets_.size() - 1;
+    std::size_t hole = Hasher{}(key) & mask;
+    while (true) {
+      if (buckets_[hole].value == kFlatNotFound) return false;
+      if (buckets_[hole].key == key) break;
+      hole = (hole + 1) & mask;
+    }
+    for (std::size_t j = (hole + 1) & mask;
+         buckets_[j].value != kFlatNotFound; j = (j + 1) & mask) {
+      // Bucket j may fill the hole when the hole lies on its probe path
+      // (cyclically between its home slot and j).
+      const std::size_t home = Hasher{}(buckets_[j].key) & mask;
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        buckets_[hole] = buckets_[j];
+        hole = j;
+      }
+    }
+    buckets_[hole].value = kFlatNotFound;
+    --size_;
+    return true;
+  }
+
+  /// Removes `keys` (distinct, all present) in O(keys.size()) whatever
+  /// the bucket count: a table reused across inputs of very different
+  /// sizes keeps its high-water bucket array, and clear()'s sweep of it
+  /// would charge every later small input the largest one's size. A
+  /// subset of the entries is erased key by key; when `keys` are all the
+  /// entries, each key instead empties the run from its home slot to the
+  /// first empty bucket. That run holds only entries (all leaving), and an
+  /// entry's bucket lies in the run of its own home slot, so every entry
+  /// goes; each walk stops at the first bucket an earlier walk emptied, so
+  /// each bucket is emptied once.
+  void erase_keys(const Key* keys, std::size_t n) {
+    if (n != size_) {
+      for (std::size_t i = 0; i < n; ++i) erase(keys[i]);
+      return;
+    }
+    if (buckets_.empty()) return;
+    const std::size_t mask = buckets_.size() - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = Hasher{}(keys[i]) & mask;
+           buckets_[j].value != kFlatNotFound; j = (j + 1) & mask) {
+        buckets_[j].value = kFlatNotFound;
+      }
+    }
     size_ = 0;
   }
 

@@ -1,5 +1,6 @@
 // Unit tests of the flat-state storage layer: the open-addressing FlatMap
-// (collision chains, growth rehash, exact reserve, clear-with-capacity),
+// (collision chains, growth rehash, exact reserve, clear-with-capacity,
+// backward-shift erase and the O(keys) reset of a reused table),
 // the batched probe layer's FlatMap edge cases (collision clusters,
 // reserve boundary, growth without reserve), the CSR SigIndex (grouping,
 // empty/absent lookups, input-order independence), and the ScratchArena
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "isomorphism/group_probe.hpp"
@@ -109,6 +111,125 @@ TEST(FlatMap, ClearKeepsCapacityAndEmpties) {
   EXPECT_EQ(map.find(1), kFlatNotFound);
   EXPECT_TRUE(map.emplace(1, 11));
   EXPECT_EQ(map.find(1), 11u);
+}
+
+/// Identity hash: tests place keys on chosen home slots (key & mask).
+struct IdentityHash {
+  std::size_t operator()(std::uint64_t v) const { return v; }
+};
+
+/// Occupied buckets, counted by a walk of the bucket array (a reset that
+/// left stale buckets behind would still report size() == 0, and probes
+/// from an emptied home slot would not see them).
+template <class Map>
+std::size_t occupied_buckets(const Map& map) {
+  std::size_t n = 0;
+  map.for_each([&](auto, std::uint32_t) { ++n; });
+  return n;
+}
+
+TEST(FlatMap, EraseKeysKeepsTheRestFindableOnACollisionChain) {
+  FlatMap<std::uint64_t, CollidingHash> map;
+  std::vector<std::uint64_t> keys;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    keys.push_back(1000 + i);
+    ASSERT_TRUE(map.emplace(keys.back(), i));
+  }
+  const std::size_t buckets = map.bucket_count();
+  // Reset every third key, from the head, middle and tail of the chain.
+  std::vector<std::uint64_t> gone, kept;
+  for (std::uint32_t i = 0; i < keys.size(); ++i)
+    (i % 3 == 0 ? gone : kept).push_back(keys[i]);
+  map.erase_keys(gone.data(), gone.size());
+  EXPECT_EQ(map.size(), kept.size());
+  for (const std::uint64_t key : gone) EXPECT_FALSE(map.contains(key)) << key;
+  for (const std::uint64_t key : kept)
+    EXPECT_EQ(map.find(key), key - 1000) << key;
+  // Resetting the remaining entries empties the table, capacity kept.
+  map.erase_keys(kept.data(), kept.size());
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(occupied_buckets(map), 0u);
+  EXPECT_EQ(map.bucket_count(), buckets);
+  for (const std::uint64_t key : keys) EXPECT_FALSE(map.contains(key)) << key;
+  EXPECT_TRUE(map.emplace(keys[5], 5));
+  EXPECT_EQ(map.find(keys[5]), 5u);
+}
+
+TEST(FlatMap, EraseKeysHandlesClustersThatWrapAround) {
+  FlatMap<std::uint64_t, IdentityHash> map;
+  map.reserve(32);
+  const std::uint64_t b = map.bucket_count();
+  // Two interleaved clusters homed on the last two slots: their probe runs
+  // wrap past the end of the bucket array into slot 0 and beyond.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t m = 1; m <= 6; ++m) {
+    keys.push_back(m * b + b - 1);
+    keys.push_back(m * b + b - 2);
+  }
+  keys.push_back(b + 1);  // homed inside the wrapped run
+  for (std::uint32_t i = 0; i < keys.size(); ++i)
+    ASSERT_TRUE(map.emplace(keys[i], i));
+  const std::set<std::uint32_t> dropped = {0, 3, 7, 12};
+  for (const std::uint32_t i : dropped) {
+    ASSERT_TRUE(map.erase(keys[i]));
+    EXPECT_FALSE(map.erase(keys[i]));  // already gone
+  }
+  for (std::uint32_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(map.find(keys[i]), dropped.count(i) ? kFlatNotFound : i) << i;
+  std::vector<std::uint64_t> rest;
+  for (std::uint32_t i = 0; i < keys.size(); ++i)
+    if (map.contains(keys[i])) rest.push_back(keys[i]);
+  map.erase_keys(rest.data(), rest.size());  // all entries: run walks
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(occupied_buckets(map), 0u);
+  for (const std::uint64_t key : keys) EXPECT_FALSE(map.contains(key));
+}
+
+TEST(FlatMap, EraseMatchesASetModelUnderChurn) {
+  FlatMap<std::uint64_t, U64Hash> map;
+  std::set<std::uint64_t> model;
+  support::Rng rng(11);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = rng.next_u64() % 512;  // dense: long clusters
+    if (rng.next_u64() % 3 == 0) {
+      EXPECT_EQ(map.erase(key), model.erase(key) == 1) << step;
+    } else {
+      EXPECT_EQ(map.emplace(key, static_cast<std::uint32_t>(key)),
+                model.insert(key).second)
+          << step;
+    }
+  }
+  EXPECT_EQ(map.size(), model.size());
+  EXPECT_EQ(occupied_buckets(map), model.size());
+  for (std::uint64_t key = 0; key < 512; ++key)
+    EXPECT_EQ(map.contains(key), model.count(key) == 1) << key;
+}
+
+TEST(FlatMap, ResetOfAHighWaterTableLeavesItEmptyForReuse) {
+  // A table sized by a large input, then used for small ones: each reset
+  // (all entries, via erase_keys) must leave it empty with capacity kept.
+  FlatMap<std::uint64_t, U64Hash> map;
+  for (std::uint32_t i = 0; i < 50000; ++i) map.emplace(i * 7919ULL, i);
+  std::vector<std::uint64_t> all;
+  map.for_each([&](std::uint64_t key, std::uint32_t) { all.push_back(key); });
+  map.erase_keys(all.data(), all.size());
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(occupied_buckets(map), 0u);
+  const std::size_t buckets = map.bucket_count();
+  for (std::uint64_t round = 0; round < 50; ++round) {
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      keys.push_back(round * 1000 + i);
+      ASSERT_TRUE(map.emplace(keys.back(), static_cast<std::uint32_t>(i)));
+    }
+    for (std::uint64_t i = 0; i < 20; ++i)
+      ASSERT_EQ(map.find(keys[i]), i);
+    map.erase_keys(keys.data(), keys.size());
+    ASSERT_TRUE(map.empty()) << round;
+    ASSERT_EQ(occupied_buckets(map), 0u) << round;
+    for (const std::uint64_t key : keys) ASSERT_FALSE(map.contains(key));
+  }
+  EXPECT_EQ(map.bucket_count(), buckets);
 }
 
 TEST(FlatMap, ForEachVisitsEveryEntryOnce) {
