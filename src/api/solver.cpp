@@ -6,12 +6,14 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -215,6 +217,13 @@ struct SliceOutcome {
   bool solved = false;
 };
 
+/// One cover run as solve_all_slices sees it: the cover and its memoized
+/// per-slice decompositions.
+struct RunCover {
+  const Cover* cover = nullptr;
+  const TdList* tds = nullptr;
+};
+
 /// Maps a mid-cover preemption to its interruption status. Both sources
 /// are monotone, so whichever is observed here is the one the slices saw;
 /// cancellation outranks the deadline (mirrors Budget::check).
@@ -229,59 +238,110 @@ Status interruption_cause(const support::CancelToken* token,
   return {};
 }
 
-/// Solves every slice of one cover against its memoized decompositions;
-/// returns a witness (slice-local images translated through origin_of) when
-/// some slice accepts. When `collect` is non-null, all occurrences of
-/// accepting slices are accumulated instead.
+/// kUnsupported when a slice that can host the pattern decomposed into
+/// bags the 64-bit DP state codec cannot encode (iso::StateCodec::supports),
+/// naming the bound; ok otherwise. Checked before any slice of the run is
+/// solved, so an out-of-range run costs no DP work and never reaches the
+/// codec's internal invariant checks.
+Status codec_range(const RunCover& run, const Pattern& pattern) {
+  const Cover& cover = *run.cover;
+  for (std::size_t i = 0; i < cover.slices.size(); ++i) {
+    if (cover.slices[i].graph.num_vertices() < pattern.size()) continue;
+    std::size_t max_bag = 1;
+    for (const auto& bag : (*run.tds)[i]->bags)
+      max_bag = std::max(max_bag, bag.size());
+    if (iso::StateCodec::supports(pattern.size(), max_bag)) continue;
+    return Status::Unsupported(
+        "slice " + std::to_string(i) + " decomposes into a bag of " +
+        std::to_string(max_bag) + " vertices, outside the 64-bit state codec "
+        "for a " + std::to_string(pattern.size()) +
+        "-vertex pattern: bags may hold at most 56 vertices and "
+        "k * ceil(log2(bag + 2)) must not exceed 64");
+  }
+  return Status::Ok();
+}
+
+/// Solves the slices of a span of cover runs against their decompositions
+/// and accounts them into `decision`. Decision mode (`collect` null) takes
+/// any number of runs and returns true at the first accepting slice, with
+/// a witness (slice-local images translated through origin_of) unless the
+/// query is decision-only. Collect mode takes one run and accumulates up
+/// to `limit` occurrences of its accepting slices into `collect`.
 ///
-/// One task per slice goes into the shared scheduler (whose path tasks, for
-/// the parallel engine, join the same pool — slices and paths interleave
-/// freely), and the results are replayed in slice-index order with exactly
-/// the old sequential loop's arithmetic, so outputs, metric sums, and the
-/// early-exit accounting cut are bit-identical to the pre-scheduler engine
-/// for every thread count: cancellation can only discard work the replay
-/// would never have accounted.
+/// Task index. The (run, slice) pairs whose slice can host the pattern
+/// are indexed run-major: run 0's slices in slice order, then run 1's, and
+/// so on. That index keys the tasks, the cancellation watermark, the
+/// speculation window and the replay, so a span of runs is one task graph
+/// whose replay reads the pairs in exactly the order a one-run-at-a-time
+/// loop solves them. All tasks go into the shared
+/// executor (the parallel engine's path tasks join the same workers), and
+/// the results are replayed in index order with exactly the sequential
+/// loop's arithmetic: per run, its slices' work adds and their rounds
+/// compose as a maximum; runs compose in sequence. Outputs, metric sums and
+/// the early-exit accounting cut are therefore bit-identical for every
+/// thread count and every span of runs: cancellation and speculation only
+/// ever discard work the replay would never have accounted.
+///
+/// Runs and waves. The decision run loop (Impl::decide) solves run 0 alone
+/// and, once it failed, the rest in waves of 2, 4, 8, ... runs, each wave
+/// one call here. The replay of run r first calls `begin_run(r)`, which
+/// publishes the run's cover to the Solver's cache and charges its build:
+/// covers are published in replay order, so the cache sees the same
+/// acquire sequence as a serial loop and runs past the accepting one never
+/// touch it. Then come run r's slices, the stop at its first accepting
+/// slice, the interruption check, and (before run r + 1) the coarse
+/// `budget.check`. A run whose decompositions the state codec cannot
+/// encode (codec_range) gets no tasks; the replay reports kUnsupported
+/// through `*status` when it reaches that run.
 ///
 /// Cooperative cancellation has three sources, all carried by each slice's
 /// CancelScope (and threaded into the engines' path tasks / per-node DP
 /// loops):
-///   * the watermark: in decision mode the first accepting slice lowers
+///   * the watermark: in decision mode the first accepting pair lowers
 ///     it; in collect mode the replay task that satisfies `limit` does —
-///     either way the speculative tail of strictly larger indices skips
-///     itself (the PR 5 "wall-only tradeoff" of solving every listing
-///     slice after a mid-cover limit hit is gone);
+///     either way the speculative tail of strictly larger indices, later
+///     runs included, skips itself;
 ///   * the query's CancelToken and armed DeadlineClock (from `budget`):
-///     these preempt *mid-cover* (even mid-slice); the replay then stops
-///     at the first unsolved slice, reports the cause through `*interrupt`,
-///     and everything accounted before it is the documented partial
-///     result. Absent token/deadline the old completion invariant holds
-///     unchanged.
+///     these preempt mid-run (even mid-slice); the replay then stops at the
+///     first unsolved slice, reports the cause through `*status`, and
+///     everything accounted before it is the documented partial result.
 ///
-/// Decision mode replays after the graph completes. Collect mode replays
-/// *inside* the graph — a chain of per-slice replay tasks (R_i needs S_i
-/// and R_{i-1}) serializes the std::set insertion in slice-index order
-/// while later slices are still solving, which is what lets a mid-cover
-/// limit hit cancel the tail at all.
+/// Decision mode replays after the graph completes; a solved slice that
+/// does not accept keeps only its metrics (all its replay reads). A wave of
+/// several runs solves decision-only (the engines free each node once its
+/// parent consumed it), and the replay re-solves the one accepting slice in
+/// full when the query wants a witness, so a wave never holds more than
+/// the live frontier of each in-flight slice. Collect mode replays
+/// *inside* the graph — a chain of per-slice replay tasks (R_j needs S_j
+/// and R_{j-1}) serializes the std::set insertion in index order while
+/// later slices are still solving, which is what lets a mid-run limit hit
+/// cancel the tail at all.
 ///
 /// Cooperative suspend/resume (the serving pool's ParkGate, from `budget`)
 /// is the fourth signal, and the only resumable one: a requested park makes
 /// the remaining slice tasks skip themselves *without* being cancelled, the
 /// drained graph parks the whole query (the admission slot goes back to the
 /// pool; the budget clock is credited for the suspension), and on resume a
-/// fresh graph round re-runs exactly the slices still pending. Solved
+/// fresh graph round re-runs exactly the tasks still pending. Solved
 /// outcomes, the watermark, and the replay cursor all persist across
 /// rounds, so the replayed sequence — and with it every output and every
 /// accounted counter — is bit-identical to an unparked run.
-bool solve_all_slices(const Cover& cover, const TdList& tds,
-                      const Pattern& pattern, const QueryOptions& options,
-                      const Budget& budget, DecisionResult* decision,
-                      std::set<Assignment>* collect, std::size_t limit,
-                      support::Metrics* run_depth, Status* interrupt) {
+bool solve_all_slices(std::span<const RunCover> runs, const Pattern& pattern,
+                      const QueryOptions& options, const Budget& budget,
+                      const std::function<void(std::size_t)>& begin_run,
+                      DecisionResult* decision, std::set<Assignment>* collect,
+                      std::size_t limit, Status* status) {
   // Decision-only queries never recover assignments, so the engines may
   // free each solved node as soon as its parent has consumed it.
   const bool release_interior = options.decision_only && collect == nullptr;
   const bool decision_mode = collect == nullptr;
-  const std::size_t num_slices = cover.slices.size();
+  support::require(decision_mode || runs.size() == 1,
+                   "solve_all_slices: collect mode solves one run");
+  // A wave of several runs solves every slice that way too: a slice's
+  // tables matter only if it accepts and a witness is wanted, and then the
+  // replay re-solves that one slice in full. Otherwise up to one full set
+  // of DP tables per worker, each from a different run, is live at once.
+  const bool lean = release_interior || runs.size() > 1;
   const support::CancelToken* token = budget.token();
   const support::DeadlineClock* deadline = budget.deadline();
   support::ParkGate* park = budget.park();
@@ -290,46 +350,73 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
            (deadline != nullptr && deadline->expired());
   };
 
-  // Slice indices large enough to host the pattern, in index order.
-  std::vector<std::size_t> eligible;
-  eligible.reserve(num_slices);
-  for (std::size_t i = 0; i < num_slices; ++i) {
-    if (cover.slices[i].graph.num_vertices() >= pattern.size())
-      eligible.push_back(i);
+  // Runs before the first one the state codec cannot encode get tasks.
+  std::size_t solvable = 0;
+  Status unsupported;
+  for (; solvable < runs.size(); ++solvable) {
+    unsupported = codec_range(runs[solvable], pattern);
+    if (!unsupported.ok()) break;
+  }
+  if (!decision_mode && solvable == 0) {
+    *status = std::move(unsupported);
+    return false;
   }
 
+  // The task index: (run, slice) pairs large enough to host the pattern,
+  // run-major.
+  struct SliceRef {
+    std::uint32_t run;
+    std::uint32_t slice;
+  };
+  std::vector<SliceRef> refs;
+  for (std::size_t r = 0; r < solvable; ++r) {
+    const Cover& cover = *runs[r].cover;
+    for (std::size_t i = 0; i < cover.slices.size(); ++i) {
+      if (cover.slices[i].graph.num_vertices() >= pattern.size())
+        refs.push_back({static_cast<std::uint32_t>(r),
+                        static_cast<std::uint32_t>(i)});
+    }
+  }
+  const std::size_t num_tasks = refs.size();
+  const auto slice_at = [&](std::size_t j) -> const Slice& {
+    return runs[refs[j].run].cover->slices[refs[j].slice];
+  };
+  const auto td_at = [&](std::size_t j) -> const auto& {
+    return *(*runs[refs[j].run].tds)[refs[j].slice];
+  };
+
   // Solve state, persistent across park/resume rounds.
-  std::vector<SliceOutcome> outcomes(num_slices);
+  std::vector<SliceOutcome> outcomes(num_tasks);
   support::CancelWatermark watermark;
 
   // Replay accounting, shared by both modes. Slices are independent
   // (solved in parallel in the PRAM reading): their work adds, their
-  // rounds compose as a maximum. Allocation events add and scratch peaks
-  // max-merge, mirroring the work/rounds split.
-  const auto account = [&](const iso::DpSolution& sol) {
-    if (decision == nullptr) return;
+  // rounds compose as a maximum within the run. Allocation events add and
+  // scratch peaks max-merge, mirroring the work/rounds split.
+  const auto account = [&](const iso::DpSolution& sol,
+                           support::Metrics& run_depth) {
     decision->metrics.add_work(sol.metrics.work());
     decision->metrics.add_allocs(sol.metrics.allocs());
     decision->metrics.note_scratch_peak(sol.metrics.scratch_peak_bytes());
-    run_depth->absorb_parallel(sol.metrics);
+    run_depth.absorb_parallel(sol.metrics);
     ++decision->slices_solved;
   };
 
   // Bounded speculation: both modes stop accounting early (decision: first
   // accepting slice; collect: the slice whose occurrences satisfy the
   // limit), so slices solved beyond that point are wasted wall time.
-  // Window edges (progress at index j gates slice task j+W) keep at most
-  // W slice tasks in flight with a low-index completion bias: the
-  // scheduler stays fully occupied, the watermark drops as early as the
-  // old sequential loop stopped, and the cancelled tail skips itself.
-  // Without them a work-stealing schedule may stack every speculative
-  // slice before the stopping one completes (observed: 20x wall
-  // regression on warm single-thread decisions). W tracks the run's width;
-  // the edge structure never affects results — the replay decides those.
+  // Window edges (progress at index j gates task j+W) keep at most W slice
+  // tasks in flight with a low-index completion bias: the scheduler stays
+  // fully occupied, the watermark drops as early as the old sequential
+  // loop stopped, and the cancelled tail skips itself. Without them a
+  // work-stealing schedule may stack every speculative slice before the
+  // stopping one completes (observed: 20x wall regression on warm
+  // single-thread decisions). W tracks the run's width; the edge structure
+  // never affects results — the replay decides those.
   const std::uint32_t window =
       2 * static_cast<std::uint32_t>(std::max(1, support::num_threads()));
 
-  // Collect mode: in-graph replay chain. replay_slice(i) runs with every
+  // Collect mode: in-graph replay chain. replay_slice(j) runs with every
   // smaller replay done (chain edges), so the limit cut it computes is the
   // same one the old sequential loop computed; limit_reached/stopped/
   // paused are written and read only under that serialization (rounds are
@@ -340,10 +427,11 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
     bool stopped = false;  ///< token/deadline preemption observed
     bool paused = false;   ///< park-skipped slice reached; resumes next round
   } replay;
-  std::vector<std::uint8_t> replayed(num_slices, 0);  // collect-mode cursor
-  const auto replay_slice = [&](std::size_t i) {
+  support::Metrics collect_depth;  // collect mode's one run
+  std::vector<std::uint8_t> replayed(num_tasks, 0);  // collect-mode cursor
+  const auto replay_slice = [&](std::size_t j) {
     if (replay.limit_reached || replay.stopped || replay.paused) return;
-    SliceOutcome& outcome = outcomes[i];
+    SliceOutcome& outcome = outcomes[j];
     if (!outcome.solved) {
       if (preempted()) {
         replay.stopped = true;
@@ -359,17 +447,16 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
       replay.paused = true;
       return;
     }
-    const Slice& slice = cover.slices[i];
     const iso::DpSolution& sol = outcome.sol;
-    account(sol);
-    replayed[i] = 1;
+    account(sol, collect_depth);
+    replayed[j] = 1;
     if (!sol.accepted) {
       outcome.sol = {};  // accounted; free before replaying the rest
       return;
     }
     replay.found = true;
-    for (Assignment a : iso::recover_assignments(sol, *tds[i], limit)) {
-      for (Vertex& image : a) image = slice.origin_of[image];
+    for (Assignment a : iso::recover_assignments(sol, td_at(j), limit)) {
+      for (Vertex& image : a) image = slice_at(j).origin_of[image];
       collect->insert(std::move(a));
     }
     outcome.sol = {};
@@ -378,7 +465,7 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
       // Drop the speculative tail: queued/in-flight slice tasks of
       // strictly larger index skip themselves. Outputs and accounted work
       // of every completed (replayed) slice are untouched.
-      watermark.accept(static_cast<std::uint32_t>(i));
+      watermark.accept(static_cast<std::uint32_t>(j));
     }
   };
 
@@ -389,42 +476,48 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
   // and the next round covers exactly the slices still pending.
   for (;;) {
     support::TaskGraph graph;
-    std::vector<std::uint32_t> task_of_slice;  // this round's solve tasks
-    std::vector<std::size_t> slice_of_task;    // inverse of the above
-    std::vector<std::uint32_t> replay_tasks;   // collect mode, this round
-    for (const std::size_t i : eligible) {
+    std::vector<std::uint32_t> solve_tasks;   // this round's, in index order
+    std::vector<std::uint32_t> replay_tasks;  // collect mode, this round
+    for (std::size_t j = 0; j < num_tasks; ++j) {
+      const auto index = static_cast<std::uint32_t>(j);
       // A slice is pending until replayed (collect) / solved or made
       // obsolete by an accepting smaller index (decision).
-      if (decision_mode && (outcomes[i].solved || watermark.obsolete(
-                                static_cast<std::uint32_t>(i))))
+      if (decision_mode &&
+          (outcomes[j].solved || watermark.obsolete(index)))
         continue;
-      if (!decision_mode && replayed[i] != 0) continue;
+      if (!decision_mode && replayed[j] != 0) continue;
       std::uint32_t solve_task = support::CancelWatermark::kNone;
-      if (!outcomes[i].solved) {
-        solve_task = graph.add([&, i] {
-          const support::CancelScope scope{&watermark,
-                                           static_cast<std::uint32_t>(i),
-                                           token, deadline};
+      if (!outcomes[j].solved) {
+        solve_task = graph.add([&, j, index] {
+          const support::CancelScope scope{&watermark, index, token,
+                                           deadline};
           if (scope.cancelled()) return;  // obsolete index, or preempted
           // A requested park skips the slice *before* any work: the slice
           // is not cancelled, just deferred to the post-resume round.
           if (park != nullptr && park->park_requested()) return;
-          SliceOutcome& out = outcomes[i];
-          out.sol = solve_slice(cover.slices[i], *tds[i], pattern, options,
-                                release_interior, scope);
+          SliceOutcome& out = outcomes[j];
+          out.sol = solve_slice(slice_at(j), td_at(j), pattern, options,
+                                lean, scope);
           if (scope.cancelled()) {
             out.sol = {};  // partial (paths/nodes skipped): free, never read
             return;
           }
           out.solved = true;
-          if (decision_mode && out.sol.accepted)
-            watermark.accept(static_cast<std::uint32_t>(i));
+          if (!decision_mode) return;
+          if (out.sol.accepted) {
+            watermark.accept(index);
+          } else {
+            // The replay of a rejected slice reads only its metrics; drop
+            // its DP tables now instead of holding them until the replay.
+            iso::DpSolution rejected;
+            rejected.metrics = out.sol.metrics;
+            out.sol = std::move(rejected);
+          }
         });
-        slice_of_task.push_back(i);
-        task_of_slice.push_back(solve_task);
+        solve_tasks.push_back(solve_task);
       }
       if (!decision_mode) {
-        const std::uint32_t r = graph.add([&, i] { replay_slice(i); });
+        const std::uint32_t r = graph.add([&, j] { replay_slice(j); });
         if (solve_task != support::CancelWatermark::kNone)
           graph.add_edge(solve_task, r);
         if (!replay_tasks.empty()) graph.add_edge(replay_tasks.back(), r);
@@ -432,14 +525,14 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
       }
     }
     if (decision_mode) {
-      for (std::size_t j = 0; j + window < task_of_slice.size(); ++j)
-        graph.add_edge(task_of_slice[j], task_of_slice[j + window]);
+      for (std::size_t j = 0; j + window < solve_tasks.size(); ++j)
+        graph.add_edge(solve_tasks[j], solve_tasks[j + window]);
     } else {
       // The window gates on replay progress, so the limit verdict (not
       // just slice completion) bounds how far ahead the solves speculate.
       for (std::size_t j = 0; j + window < replay_tasks.size(); ++j) {
-        if (j + window < task_of_slice.size())
-          graph.add_edge(replay_tasks[j], task_of_slice[j + window]);
+        if (j + window < solve_tasks.size())
+          graph.add_edge(replay_tasks[j], solve_tasks[j + window]);
       }
     }
     support::Scheduler::run(graph);
@@ -449,14 +542,12 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
     // slice-boundary checkpoint (or its completion) instead.
     if (park == nullptr || !park->park_requested() || preempted()) break;
     bool pending = false;
-    for (const std::size_t i : eligible) {
-      if (decision_mode) {
-        pending = !outcomes[i].solved &&
-                  !watermark.obsolete(static_cast<std::uint32_t>(i));
-      } else {
-        pending = replayed[i] == 0 && !replay.limit_reached && !replay.stopped;
-      }
-      if (pending) break;
+    for (std::size_t j = 0; j < num_tasks && !pending; ++j) {
+      pending = decision_mode
+                    ? !outcomes[j].solved &&
+                          !watermark.obsolete(static_cast<std::uint32_t>(j))
+                    : replayed[j] == 0 && !replay.limit_reached &&
+                          !replay.stopped;
     }
     if (!pending) break;
     replay.paused = false;
@@ -467,83 +558,64 @@ bool solve_all_slices(const Cover& cover, const TdList& tds,
   }
 
   if (!decision_mode) {
-    if (replay.stopped) *interrupt = interruption_cause(token, deadline);
+    decision->metrics.add_rounds(collect_depth.rounds());
+    if (replay.stopped) *status = interruption_cause(token, deadline);
     return replay.found;
   }
 
-  // ---- Decision mode: deterministic replay in slice-index order. ----
-  for (std::size_t i = 0; i < num_slices; ++i) {
-    const Slice& slice = cover.slices[i];
-    if (slice.graph.num_vertices() < pattern.size()) continue;
-    SliceOutcome& outcome = outcomes[i];
-    if (!outcome.solved) {
+  // ---- Decision mode: deterministic replay in (run, slice) order. ----
+  std::size_t j = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    begin_run(r);
+    if (r == solvable) {
+      *status = std::move(unsupported);
+      return false;
+    }
+    support::Metrics run_depth;
+    bool accepted = false;
+    bool unsolved = false;
+    for (; j < num_tasks && refs[j].run == r; ++j) {
+      const SliceOutcome& outcome = outcomes[j];
       // As in replay_slice: an unsolved slice here means the query itself
       // was preempted (the watermark alone stops the replay at its
       // accepting index before reaching any cancelled slice).
+      unsolved = !outcome.solved;
+      if (unsolved) break;
+      account(outcome.sol, run_depth);
+      accepted = outcome.sol.accepted;
+      if (accepted) break;
+    }
+    decision->metrics.add_rounds(run_depth.rounds());
+    if (unsolved) {
       support::require(token != nullptr || deadline != nullptr,
                        "solve_all_slices: replay reached a cancelled slice");
-      *interrupt = interruption_cause(token, deadline);
+      *status = interruption_cause(token, deadline);
       return false;
     }
-    const iso::DpSolution& sol = outcome.sol;
-    const treedecomp::TreeDecomposition& td = *tds[i];
-    account(sol);
-    if (!sol.accepted) {
-      outcome.sol = {};  // accounted; free before replaying the rest
-      continue;
-    }
-    if (!release_interior && decision != nullptr &&
-        !decision->witness.has_value()) {
-      auto assignments = iso::recover_assignments(sol, td, 1);
-      if (!assignments.empty()) {
-        Assignment witness = assignments.front();
-        for (Vertex& image : witness) image = slice.origin_of[image];
-        decision->witness = witness;
+    if (accepted) {
+      if (!release_interior && !decision->witness.has_value()) {
+        // Solving is deterministic, so the re-solve of a lean slice
+        // recovers the witness a full solve would have; its work is
+        // executed, never accounted (the replay accounted the lean solve).
+        iso::DpSolution& sol = outcomes[j].sol;
+        if (lean)
+          sol = solve_slice(slice_at(j), td_at(j), pattern, options,
+                            /*release_interior=*/false, {});
+        auto assignments = iso::recover_assignments(sol, td_at(j), 1);
+        if (!assignments.empty()) {
+          Assignment witness = assignments.front();
+          for (Vertex& image : witness) image = slice_at(j).origin_of[image];
+          decision->witness = witness;
+        }
       }
+      return true;
     }
-    return true;
+    if (r + 1 < runs.size()) {
+      *status = budget.check(decision->metrics);
+      if (!status->ok()) return false;
+    }
   }
   return false;
-}
-
-/// kUnsupported when a slice that can host the pattern decomposed into
-/// bags the 64-bit DP state codec cannot encode (iso::StateCodec::supports),
-/// naming the bound; ok otherwise. Checked before any slice is solved, so
-/// an out-of-range query costs no DP work and never reaches the codec's
-/// internal invariant checks.
-Status codec_range(const Cover& cover, const TdList& tds,
-                   const Pattern& pattern) {
-  for (std::size_t i = 0; i < cover.slices.size(); ++i) {
-    if (cover.slices[i].graph.num_vertices() < pattern.size()) continue;
-    std::size_t max_bag = 1;
-    for (const auto& bag : tds[i]->bags)
-      max_bag = std::max(max_bag, bag.size());
-    if (iso::StateCodec::supports(pattern.size(), max_bag)) continue;
-    return Status::Unsupported(
-        "slice " + std::to_string(i) + " decomposes into a bag of " +
-        std::to_string(max_bag) + " vertices, outside the 64-bit state codec "
-        "for a " + std::to_string(pattern.size()) +
-        "-vertex pattern: bags may hold at most 56 vertices and "
-        "k * ceil(log2(bag + 2)) must not exceed 64");
-  }
-  return Status::Ok();
-}
-
-bool solve_cover(const Cover& cover, const TdList& tds,
-                 const Pattern& pattern, const QueryOptions& options,
-                 const Budget& budget, DecisionResult* decision,
-                 std::set<Assignment>* collect, std::size_t limit,
-                 Status* interrupt) {
-  if (Status status = codec_range(cover, tds, pattern); !status.ok()) {
-    *interrupt = std::move(status);
-    return false;
-  }
-  support::Metrics run_depth;
-  const bool found =
-      solve_all_slices(cover, tds, pattern, options, budget, decision,
-                       collect, limit, &run_depth, interrupt);
-  if (decision != nullptr) decision->metrics.add_rounds(run_depth.rounds());
-  return found;
 }
 
 /// Cache key of one cover: everything the cover build reads besides the
@@ -576,11 +648,12 @@ struct CoverKey {
 /// `mutex`; immutable afterwards (new decomposition kinds only append map
 /// nodes, never touch existing ones) — which is what lets a newer version's
 /// build read a donor entry's slices and share its decomposition pointers
-/// after only a flag check under the donor's mutex.
+/// after only a null check under the donor's mutex.
 struct CoverEntry {
   std::mutex mutex;
-  bool cover_ready = false;
-  Cover cover;
+  /// Null until built. Shared so that a cover built privately ahead of its
+  /// publication (Impl::prepare_cover) is installed without a copy.
+  std::shared_ptr<const Cover> cover;
   std::map<cover::DecompositionKind, TdList> tds;
   /// LRU tick, guarded by the owning Solver's cache_mutex (not `mutex`).
   std::uint64_t last_used = 0;
@@ -594,6 +667,47 @@ struct CoverAccess {
   const TdList* tds = nullptr;
   bool built_cover = false;  ///< this call built it (owns its metrics)
 };
+
+/// A cover and its decompositions of one kind, obtained without any cache
+/// bookkeeping: borrowed from a resident entry or built privately
+/// (Impl::prepare_cover). Covers and decompositions are deterministic, so
+/// it equals what an in-order acquire would have produced.
+struct PreparedCover {
+  std::shared_ptr<const Cover> cover;
+  TdList tds;
+};
+
+/// Builds the cover `key` names on the target graph `g`. The cover
+/// skeleton (clustering, BFS levels, slice graphs) is always rebuilt from
+/// the pinned version's graph — it is cheap next to the decompositions and
+/// keeping it bit-identical to a cold build is what makes incremental
+/// results provably equal.
+std::shared_ptr<const Cover> build_cover(const Graph& g, const CoverKey& key) {
+  PPSI_FAULT_POINT("solver.cover_build");
+  const double beta = 2.0 * key.k;
+  return std::make_shared<const Cover>(
+      key.separating ? cover::build_separating_cover(g, key.in_s, key.d, beta,
+                                                     key.seed, key.k)
+                     : cover::build_kd_cover(g, key.d, beta, key.seed, key.k));
+}
+
+/// Decomposes the slices of `cover` listed in `which` into `tds`.
+/// Slices decompose independently, so the build fans out across the
+/// executor (each iteration fills its own pre-sized slot; results are
+/// per-slice deterministic, so the assembled vector is too). Grain 1:
+/// decompositions are orders of magnitude heavier than a loop iteration's
+/// overhead.
+void decompose_slices(const Cover& cover, cover::DecompositionKind kind,
+                      const std::vector<std::size_t>& which, TdList& tds) {
+  support::parallel_for(
+      0, which.size(),
+      [&](std::size_t r) {
+        const std::size_t i = which[r];
+        tds[i] = std::make_shared<const treedecomp::TreeDecomposition>(
+            decompose_slice(cover.slices[i], kind));
+      },
+      /*grain=*/1);
+}
 
 /// Order-sensitive structural signature of one slice (graph in adjacency
 /// order, origin map, separating spec) for the cross-version match.
@@ -629,6 +743,37 @@ bool slice_equal(const Slice& a, const Slice& b) {
   return a.origin_of == b.origin_of && a.is_original == b.is_original &&
          a.bfs_root == b.bfs_root && a.spec.enabled == b.spec.enabled &&
          a.spec.in_s == b.spec.in_s && a.spec.allowed == b.spec.allowed;
+}
+
+/// Delta invalidation: matches the slices of `cover` against the donor
+/// version's and gives each structurally identical slice the donor's
+/// decomposition pointer (decompose_slice is deterministic, so the shared
+/// object equals what a rebuild would produce). Returns the indices of the
+/// slices left to decompose, ascending; all of them without a donor.
+std::vector<std::size_t> share_donor_slices(const Cover& cover,
+                                            const PreparedCover& donor,
+                                            TdList& tds) {
+  std::vector<std::size_t> rebuild;
+  if (!donor.cover) {
+    rebuild.resize(tds.size());
+    for (std::size_t i = 0; i < tds.size(); ++i) rebuild[i] = i;
+    return rebuild;
+  }
+  std::unordered_multimap<std::uint64_t, std::size_t> by_signature;
+  for (std::size_t i = 0; i < donor.cover->slices.size(); ++i)
+    by_signature.emplace(slice_signature(donor.cover->slices[i]), i);
+  for (std::size_t i = 0; i < cover.slices.size(); ++i) {
+    const Slice& slice = cover.slices[i];
+    const auto [lo, hi] = by_signature.equal_range(slice_signature(slice));
+    for (auto match = lo; match != hi; ++match) {
+      if (slice_equal(slice, donor.cover->slices[match->second])) {
+        tds[i] = donor.tds[match->second];
+        break;
+      }
+    }
+    if (!tds[i]) rebuild.push_back(i);
+  }
+  return rebuild;
 }
 
 }  // namespace
@@ -710,21 +855,79 @@ struct Solver::Impl {
     return out;
   }
 
+  /// The structural-sharing donor of `key`: the newest older-version entry
+  /// with the same cover parameters. `version` orders last in the key, so
+  /// that entry — if any — is exactly the map predecessor of `pos`, the
+  /// key's lower bound. Caller holds cache_mutex.
+  std::shared_ptr<CoverEntry> donor_before(
+      std::map<CoverKey, std::shared_ptr<CoverEntry>>::iterator pos,
+      const CoverKey& key) {
+    if (pos == covers.begin()) return nullptr;
+    const auto prev = std::prev(pos);
+    return prev->first.same_base(key) ? prev->second : nullptr;
+  }
+
+  /// The donor's cover and `kind` decompositions, or an empty result while
+  /// it has none. Locking order entry -> donor is acyclic: a thread only
+  /// ever waits on strictly older versions.
+  static PreparedCover donated(const std::shared_ptr<CoverEntry>& donor,
+                               cover::DecompositionKind kind) {
+    if (!donor) return {};
+    const std::lock_guard<std::mutex> lock(donor->mutex);
+    const auto it = donor->tds.find(kind);
+    if (!donor->cover || it == donor->tds.end()) return {};
+    return {donor->cover, it->second};
+  }
+
+  /// The side-effect-free half of acquire_cover: reads the resident cover
+  /// and decompositions for (key, kind) without counting a hit, ticking
+  /// the LRU clock or inserting an entry, and builds whatever is missing
+  /// privately (sharing a donor's decompositions as acquire_cover would).
+  /// acquire_cover(ver, key, kind, &prepared) later does the bookkeeping.
+  PreparedCover prepare_cover(const detail::VersionState& ver,
+                              const CoverKey& key,
+                              cover::DecompositionKind kind) {
+    std::shared_ptr<CoverEntry> entry;
+    std::shared_ptr<CoverEntry> donor;
+    {
+      const std::lock_guard<std::mutex> lock(cache_mutex);
+      const auto pos = covers.lower_bound(key);
+      if (pos != covers.end() && !(key < pos->first)) entry = pos->second;
+      donor = donor_before(pos, key);
+    }
+    PreparedCover out;
+    if (entry) {
+      const std::lock_guard<std::mutex> lock(entry->mutex);
+      out.cover = entry->cover;
+      const auto it = entry->tds.find(kind);
+      if (out.cover && it != entry->tds.end()) {
+        out.tds = it->second;
+        return out;
+      }
+    }
+    if (!out.cover) out.cover = build_cover(ver.graph, key);
+    out.tds.resize(out.cover->slices.size());
+    decompose_slices(*out.cover, kind,
+                     share_donor_slices(*out.cover, donated(donor, kind),
+                                        out.tds),
+                     out.tds);
+    return out;
+  }
+
+  /// Looks up (key, kind) in the cache, counting the hit or miss, ticking
+  /// the LRU clock and evicting beyond the capacity, and builds what the
+  /// entry lacks. With `prepared`, a missing cover or decomposition is
+  /// taken from it instead of built: the publish step of a run whose cover
+  /// prepare_cover produced ahead of time.
   CoverAccess acquire_cover(const detail::VersionState& ver,
                             const CoverKey& key,
-                            cover::DecompositionKind kind) {
+                            cover::DecompositionKind kind,
+                            const PreparedCover* prepared = nullptr) {
     CoverAccess access;
     std::shared_ptr<CoverEntry> donor;
     {
       const std::lock_guard<std::mutex> lock(cache_mutex);
-      // Structural-sharing donor: the newest older-version entry with the
-      // same cover parameters. `version` orders last in the key, so that
-      // entry — if any — is exactly the immediate map predecessor.
-      auto pos = covers.lower_bound(key);
-      if (pos != covers.begin()) {
-        auto prev = std::prev(pos);
-        if (prev->first.same_base(key)) donor = prev->second;
-      }
+      donor = donor_before(covers.lower_bound(key), key);
       std::shared_ptr<CoverEntry>& slot = covers[key];
       if (!slot) slot = std::make_shared<CoverEntry>();
       slot->last_used = ++use_tick;
@@ -747,27 +950,16 @@ struct Solver::Impl {
       }
     }
     CoverEntry& entry = *access.entry;
-    bool donated = false;
+    bool donated_any = false;
     {
       const std::lock_guard<std::mutex> lock(entry.mutex);
-      if (!entry.cover_ready) {
-        // Containment note: a throw from here (including the injected
-        // point) unwinds the lock_guards with cover_ready still false and
-        // no miss counted — the entry stays an empty shell a later query
-        // (or a pool retry) builds from scratch.
-        PPSI_FAULT_POINT("solver.cover_build");
-        // The cover skeleton (clustering, BFS levels, slice graphs) is
-        // always rebuilt from the pinned version's graph — it is cheap
-        // next to the decompositions and keeping it bit-identical to a
-        // cold build is what makes incremental results provably equal.
-        const double beta = 2.0 * key.k;
-        entry.cover =
-            key.separating
-                ? cover::build_separating_cover(ver.graph, key.in_s, key.d,
-                                                beta, key.seed, key.k)
-                : cover::build_kd_cover(ver.graph, key.d, beta, key.seed,
-                                        key.k);
-        entry.cover_ready = true;
+      if (!entry.cover) {
+        // Containment note: a throw from the build (including the injected
+        // point) unwinds the lock_guards with the cover still null and no
+        // miss counted — the entry stays an empty shell a later query (or
+        // a pool retry) builds from scratch.
+        entry.cover = prepared != nullptr ? prepared->cover
+                                          : build_cover(ver.graph, key);
         access.built_cover = true;
         cover_misses.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -775,72 +967,29 @@ struct Solver::Impl {
       }
       auto it = entry.tds.find(kind);
       if (it == entry.tds.end()) {
-        // Delta invalidation: match this cover's slices against the donor
-        // version's; structurally identical slices share the donor's
-        // decomposition pointer (decompose_slice is deterministic, so the
-        // shared object equals what a rebuild would produce), the rest
-        // rebuild below. Locking order entry -> donor is acyclic: a
-        // thread only ever waits on strictly older versions.
-        const Cover* donor_cover = nullptr;
-        TdList donor_tds;
-        if (donor && donor != access.entry) {
-          const std::lock_guard<std::mutex> donor_lock(donor->mutex);
-          if (donor->cover_ready) {
-            auto donor_it = donor->tds.find(kind);
-            if (donor_it != donor->tds.end()) {
-              donor_cover = &donor->cover;  // immutable once ready
-              donor_tds = donor_it->second;
-            }
-          }
-        }
-        TdList tds(entry.cover.slices.size());
-        std::vector<std::size_t> rebuild;
-        if (donor_cover != nullptr) {
-          std::unordered_multimap<std::uint64_t, std::size_t> by_signature;
-          for (std::size_t i = 0; i < donor_cover->slices.size(); ++i)
-            by_signature.emplace(slice_signature(donor_cover->slices[i]), i);
-          for (std::size_t i = 0; i < entry.cover.slices.size(); ++i) {
-            const Slice& slice = entry.cover.slices[i];
-            const auto [lo, hi] =
-                by_signature.equal_range(slice_signature(slice));
-            for (auto match = lo; match != hi; ++match) {
-              if (slice_equal(slice, donor_cover->slices[match->second])) {
-                tds[i] = donor_tds[match->second];
-                break;
-              }
-            }
-            if (!tds[i]) rebuild.push_back(i);
-          }
+        TdList tds(entry.cover->slices.size());
+        const std::vector<std::size_t> rebuild = share_donor_slices(
+            *entry.cover,
+            donor != access.entry ? donated(donor, kind) : PreparedCover{},
+            tds);
+        if (prepared != nullptr) {
+          for (const std::size_t i : rebuild) tds[i] = prepared->tds[i];
         } else {
-          rebuild.resize(tds.size());
-          for (std::size_t i = 0; i < tds.size(); ++i) rebuild[i] = i;
+          decompose_slices(*entry.cover, kind, rebuild, tds);
         }
-        // Slices decompose independently, so the build fans out across the
-        // executor (each iteration fills its own pre-sized slot; results
-        // are per-slice deterministic, so the assembled vector is too).
-        // Grain 1: decompositions are orders of magnitude heavier than a
-        // loop iteration's overhead.
-        support::parallel_for(
-            0, rebuild.size(),
-            [&](std::size_t r) {
-              const std::size_t i = rebuild[r];
-              tds[i] = std::make_shared<const treedecomp::TreeDecomposition>(
-                  decompose_slice(entry.cover.slices[i], kind));
-            },
-            /*grain=*/1);
         slices_rebuilt.fetch_add(rebuild.size(), std::memory_order_relaxed);
         slices_reused.fetch_add(tds.size() - rebuild.size(),
                                 std::memory_order_relaxed);
-        donated = tds.size() > rebuild.size();
+        donated_any = tds.size() > rebuild.size();
         it = entry.tds.emplace(kind, std::move(tds)).first;
         td_misses.fetch_add(1, std::memory_order_relaxed);
       } else {
         td_hits.fetch_add(1, std::memory_order_relaxed);
       }
-      access.cover = &entry.cover;
+      access.cover = entry.cover.get();
       access.tds = &it->second;
     }
-    if (donor || donated) purge_stale(key);
+    if (donor || donated_any) purge_stale(key);
     return access;
   }
 
@@ -871,28 +1020,96 @@ struct Solver::Impl {
     stale_purged.fetch_add(dead.size(), std::memory_order_relaxed);
   }
 
-  /// One decision-pipeline cover run against the cache. Cover-build
-  /// metrics are charged only when this run actually built the cover — a
-  /// cache hit did not perform that work. A mid-cover preemption (token /
-  /// deadline, threaded through `budget`) reports through `*interrupt`;
-  /// the returned result then holds the partially-accounted run.
-  DecisionResult run_once_cached(const detail::VersionState& ver,
-                                 const Pattern& pattern,
-                                 std::uint64_t run_seed,
-                                 const QueryOptions& options,
-                                 const Budget& budget, Status* interrupt) {
-    DecisionResult result;
-    result.runs = 1;
-    CoverKey key;
-    key.d = std::max(1u, pattern.diameter());
-    key.k = pattern.size();
-    key.seed = run_seed;
-    key.version = ver.id;
-    const CoverAccess access = acquire_cover(ver, key, options.decomposition);
-    if (access.built_cover) result.metrics.absorb(access.cover->metrics);
-    result.found = solve_cover(*access.cover, *access.tds, pattern, options,
-                               budget, &result, nullptr, 1, interrupt);
-    return result;
+  /// Solves the cover runs keyed `keys` as one wave into `total` (see
+  /// solve_all_slices). A lone run acquires its cover through the cache up
+  /// front, as a one-run query always did. A wave of several prepares its
+  /// covers privately in parallel and publishes each (acquire_cover with
+  /// the prepared cover) only when the replay reaches its run, so the
+  /// cache sees the serial acquire order and a run past the accepting one
+  /// inserts, evicts and counts nothing. True when a run accepted;
+  /// `*status` reports what else stopped the wave.
+  bool solve_wave(const detail::VersionState& ver,
+                  std::span<const CoverKey> keys, const Pattern& pattern,
+                  const QueryOptions& options, const Budget& budget,
+                  DecisionResult* total, Status* status) {
+    const cover::DecompositionKind kind = options.decomposition;
+    std::vector<CoverAccess> access(keys.size());
+    std::vector<PreparedCover> prepared(keys.size());
+    std::vector<RunCover> runs(keys.size());
+    if (keys.size() == 1) {
+      access[0] = acquire_cover(ver, keys[0], kind);
+      runs[0] = {access[0].cover, access[0].tds};
+    } else {
+      support::parallel_for(
+          0, keys.size(),
+          [&](std::size_t r) {
+            prepared[r] = prepare_cover(ver, keys[r], kind);
+          },
+          /*grain=*/1);
+      for (std::size_t r = 0; r < keys.size(); ++r)
+        runs[r] = {prepared[r].cover.get(), &prepared[r].tds};
+    }
+    const auto begin_run = [&](std::size_t r) {
+      if (!access[r].entry)
+        access[r] = acquire_cover(ver, keys[r], kind, &prepared[r]);
+      // Cover-build metrics are charged only to the run that built the
+      // cover: a cache hit did not perform that work.
+      if (access[r].built_cover)
+        total->metrics.absorb(access[r].cover->metrics);
+      ++total->runs;
+    };
+    return solve_all_slices(runs, pattern, options, budget, begin_run, total,
+                            nullptr, 1, status);
+  }
+
+  /// The run loop of find and find_separating: run r solves the cover keyed
+  /// key_of(r), for max_runs runs (default 2 log2(n + 2) + 4), stopping at
+  /// the first accepting run. Run 0 goes alone; once it failed, the rest
+  /// go in waves of 2, 4, 8, ... runs, each one task graph, so the paper's
+  /// independent trials run in parallel while speculative cover builds
+  /// never outnumber the runs already done. Every run that does not accept
+  /// is followed by the coarse budget check.
+  Result<DecisionResult> decide(
+      const detail::VersionState& ver, const Pattern& pattern,
+      const std::function<CoverKey(std::uint32_t)>& key_of,
+      const QueryOptions& options) {
+    const Budget budget(options);
+    DecisionResult total;
+    // Entry check: a pre-cancelled token or pre-expired deadline returns
+    // before any cover is built or solved (runs == 0, empty partial result).
+    if (Status status = budget.check(total.metrics); !status.ok())
+      return {std::move(status), std::move(total)};
+    if (ver.graph.num_vertices() < pattern.size()) return total;
+    const std::uint32_t runs = options.max_runs > 0
+                                   ? options.max_runs
+                                   : default_runs(ver.graph.num_vertices());
+    // Containment boundary: an exception from a wave (internal invariant,
+    // allocation failure, injected fault — surfaced by Scheduler::run /
+    // parallel_for on this thread) resolves to kInternal/kResourceExhausted
+    // carrying the runs accounted so far; the Solver, its cache,
+    // and the version ledger stay consistent (every mutation is
+    // lock-guarded and ordered build-then-publish).
+    try {
+      std::vector<CoverKey> keys;
+      for (std::uint64_t first = 0, width = 1; first < runs;
+           first += width, width *= 2) {
+        keys.clear();
+        const std::uint64_t end = std::min<std::uint64_t>(runs, first + width);
+        for (std::uint64_t r = first; r < end; ++r)
+          keys.push_back(key_of(static_cast<std::uint32_t>(r)));
+        Status status;
+        if (solve_wave(ver, keys, pattern, options, budget, &total, &status)) {
+          total.found = true;
+          return total;
+        }
+        if (!status.ok()) return {std::move(status), std::move(total)};
+        if (Status s = budget.check(total.metrics); !s.ok())
+          return {std::move(s), std::move(total)};
+      }
+    } catch (...) {
+      return {contained_status(), std::move(total)};
+    }
+    return total;
   }
 
   // In-flight async queries (find_async & co). The destructor drains them
@@ -919,6 +1136,17 @@ struct Solver::Impl {
 };
 
 namespace {
+
+/// Cache key of one decision run's (non-separating) cover.
+CoverKey decision_key(const detail::VersionState& ver, const Pattern& pattern,
+                      std::uint64_t run_seed) {
+  CoverKey key;
+  key.d = std::max(1u, pattern.diameter());
+  key.k = pattern.size();
+  key.seed = run_seed;
+  key.version = ver.id;
+  return key;
+}
 
 Status require_connected(const Pattern& pattern, const char* query) {
   if (pattern.is_connected()) return Status::Ok();
@@ -1023,47 +1251,13 @@ Result<DecisionResult> Solver::find(const iso::Pattern& pattern,
   Impl::Snapshot snap;
   if (Status status = impl_->pin(options.at, &snap); !status.ok())
     return status;
-  const detail::VersionState& ver = *snap;
-  const Budget budget(options);
-  DecisionResult total;
-  // Entry check: a pre-cancelled token or pre-expired deadline returns
-  // before any cover is built or solved (runs == 0, empty partial result).
-  if (Status status = budget.check(total.metrics); !status.ok())
-    return {std::move(status), std::move(total)};
-  if (ver.graph.num_vertices() < pattern.size()) return total;
-  const std::uint32_t runs = options.max_runs > 0
-                                 ? options.max_runs
-                                 : default_runs(ver.graph.num_vertices());
-  // Containment boundary: an exception from the run loop (internal
-  // invariant, allocation failure, injected fault — surfaced by
-  // Scheduler::run / parallel_for on this thread) resolves to
-  // kInternal/kResourceExhausted carrying the runs accounted so far; the
-  // Solver, its cache, and the version ledger stay consistent (every
-  // mutation below is lock-guarded and ordered build-then-publish).
-  try {
-    for (std::uint32_t r = 0; r < runs; ++r) {
-      Status interrupt;
-      DecisionResult one = impl_->run_once_cached(
-          ver, pattern, support::hash_combine(options.seed, r), options,
-          budget, &interrupt);
-      total.metrics.absorb(one.metrics);
-      total.slices_solved += one.slices_solved;
-      ++total.runs;
-      if (one.found) {
-        total.found = true;
-        total.witness = std::move(one.witness);
-        return total;
-      }
-      // Mid-cover preemption first (it carries the precise cause), then the
-      // coarse between-runs budget check.
-      if (!interrupt.ok()) return {std::move(interrupt), std::move(total)};
-      if (Status status = budget.check(total.metrics); !status.ok())
-        return {std::move(status), std::move(total)};
-    }
-  } catch (...) {
-    return {contained_status(), std::move(total)};
-  }
-  return total;
+  return impl_->decide(
+      *snap, pattern,
+      [&](std::uint32_t r) {
+        return decision_key(*snap, pattern,
+                            support::hash_combine(options.seed, r));
+      },
+      options);
 }
 
 Result<DecisionResult> Solver::find_once(const iso::Pattern& pattern,
@@ -1079,8 +1273,9 @@ Result<DecisionResult> Solver::find_once(const iso::Pattern& pattern,
   Status interrupt;
   DecisionResult one;
   try {
-    one = impl_->run_once_cached(*snap, pattern, run_seed, options, budget,
-                                 &interrupt);
+    const CoverKey key = decision_key(*snap, pattern, run_seed);
+    one.found = impl_->solve_wave(*snap, {&key, 1}, pattern, options, budget,
+                                  &one, &interrupt);
   } catch (...) {
     return {contained_status(), std::move(one)};
   }
@@ -1124,8 +1319,9 @@ Result<ListingResult> Solver::list(const iso::Pattern& pattern,
       // into the listing's metrics so bench accounting and the max_work
       // budget see it, not just the cover builds.
       DecisionResult iteration;
-      solve_cover(*access.cover, *access.tds, pattern, options, budget,
-                  &iteration, &all, options.list_limit, &interrupted);
+      const RunCover run{access.cover, access.tds};
+      solve_all_slices({&run, 1}, pattern, options, budget, {}, &iteration,
+                       &all, options.list_limit, &interrupted);
       result.metrics.absorb(iteration.metrics);
       if (!interrupted.ok()) break;  // mid-cover preemption (token/deadline)
       streak = all.size() == before ? streak + 1 : 0;
@@ -1283,52 +1479,19 @@ Result<DecisionResult> Solver::find_separating(
   Impl::Snapshot snap;
   if (Status status = impl_->pin(options.at, &snap); !status.ok())
     return status;
-  const detail::VersionState& ver = *snap;
-  if (in_s.size() != ver.graph.num_vertices())
+  if (in_s.size() != snap->graph.num_vertices())
     return Status::InvalidOptions(
         "find_separating: in_s must mark every target vertex");
-  const Budget budget(options);
-  DecisionResult total;
-  if (Status status = budget.check(total.metrics); !status.ok())
-    return {std::move(status), std::move(total)};
-  if (ver.graph.num_vertices() < pattern.size()) return total;
-  const std::uint32_t runs = options.max_runs > 0
-                                 ? options.max_runs
-                                 : default_runs(ver.graph.num_vertices());
-  const std::uint32_t d = std::max(1u, pattern.diameter());
-  try {
-    for (std::uint32_t r = 0; r < runs; ++r) {
-      CoverKey key;
-      key.d = d;
-      key.k = pattern.size();
-      key.seed = support::hash_combine(options.seed, 0x5e9 + r);
-      key.separating = true;
-      key.in_s = in_s;
-      key.version = ver.id;
-      const CoverAccess access =
-          impl_->acquire_cover(ver, key, options.decomposition);
-      if (access.built_cover) total.metrics.absorb(access.cover->metrics);
-      ++total.runs;
-      Status interrupt;
-      DecisionResult one;
-      if (solve_cover(*access.cover, *access.tds, pattern, options, budget,
-                      &one, nullptr, 1, &interrupt)) {
-        total.found = true;
-        total.witness = std::move(one.witness);
-        total.metrics.absorb(one.metrics);
-        total.slices_solved += one.slices_solved;
-        return total;
-      }
-      total.metrics.absorb(one.metrics);
-      total.slices_solved += one.slices_solved;
-      if (!interrupt.ok()) return {std::move(interrupt), std::move(total)};
-      if (Status status = budget.check(total.metrics); !status.ok())
-        return {std::move(status), std::move(total)};
-    }
-  } catch (...) {
-    return {contained_status(), std::move(total)};
-  }
-  return total;
+  return impl_->decide(
+      *snap, pattern,
+      [&](std::uint32_t r) {
+        CoverKey key = decision_key(
+            *snap, pattern, support::hash_combine(options.seed, 0x5e9 + r));
+        key.separating = true;
+        key.in_s = in_s;
+        return key;
+      },
+      options);
 }
 
 Result<connectivity::VertexConnectivityResult> Solver::vertex_connectivity(

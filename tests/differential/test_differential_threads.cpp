@@ -18,14 +18,19 @@
 
 #include <omp.h>
 
+#include <chrono>
+#include <cmath>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/solver.hpp"
 #include "graph/generators.hpp"
 #include "isomorphism/parallel_engine.hpp"
+#include "planar/face_vertex_graph.hpp"
+#include "support/rng.hpp"
 #include "testing/random_inputs.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
@@ -326,6 +331,380 @@ TEST(SolverThreadsSeparating, FindSeparatingIsThreadCountInvariant) {
   const FindCapture reference = run(1);
   for (const int t : kThreadCounts)
     expect_same_find(reference, run(t), "threads " + std::to_string(t));
+}
+
+// ---------------------------------------------------------------------------
+// Cover runs in doubling waves. find / find_separating solve run 0 alone and
+// then runs [1, 3), [3, 7), [7, 15), ... as one task graph each, publishing
+// each run's cover to the cache only when the replay reaches it. Whatever
+// the wave layout, every output, the accounted work and rounds, and every
+// cache counter must equal the one-run-at-a-time sequence — at every
+// thread count, and against the fold of find_once over the run seeds.
+
+std::vector<std::uint64_t> cache_counters(const CacheStats& s) {
+  return {s.cover_hits,         s.cover_misses,       s.decomposition_hits,
+          s.decomposition_misses, s.cover_evictions,  s.cover_entries,
+          s.versions_committed, s.versions_reclaimed, s.live_versions,
+          s.slices_rebuilt,     s.slices_reused,      s.stale_covers_purged};
+}
+
+FindCapture capture_find(const Result<DecisionResult>& r) {
+  return {r->found,         r->witness,        r->runs, r->slices_solved,
+          r->metrics.work(), r->metrics.rounds()};
+}
+
+/// C40 with two pendants on vertex 0: vertex 0 is the only K_{1,4} center,
+/// so a run finds the star only when its cover keeps that neighborhood in
+/// one slice. With seed 22 the default-run find accepts in run 1, and run
+/// 2 — the rest of the wave — is speculative.
+Graph cross_target() {
+  EdgeList edges;
+  const Vertex n = 40;
+  for (Vertex v = 0; v < n; ++v) edges.push_back({v, (v + 1) % n});
+  edges.push_back({0, n});
+  edges.push_back({0, n + 1});
+  return Graph::from_edges(n + 2, edges);
+}
+constexpr std::uint64_t kCrossSeed = 22;
+
+Pattern star_pattern() { return Pattern::from_graph(gen::star_graph(5)); }
+Pattern cycle_pattern(Vertex k) {
+  return Pattern::from_graph(gen::cycle_graph(k));
+}
+
+struct WaveCapture {
+  FindCapture find;
+  std::vector<std::uint64_t> cache;
+};
+
+void expect_same_wave(const WaveCapture& want, const WaveCapture& got,
+                      const std::string& context) {
+  expect_same_find(want.find, got.find, context);
+  EXPECT_EQ(want.cache, got.cache) << context;
+}
+
+/// find on a fresh Solver (cache capacity `capacity`, 0 = default).
+WaveCapture wave_find(const Graph& g, const Pattern& pattern,
+                      std::uint64_t seed, std::size_t capacity = 0,
+                      cover::EngineKind engine = cover::EngineKind::kSparse) {
+  Solver solver(g);
+  if (capacity > 0) solver.set_cache_capacity(capacity);
+  QueryOptions opts;
+  opts.seed = seed;
+  opts.engine = engine;
+  const Result<DecisionResult> r = solver.find(pattern, opts);
+  EXPECT_TRUE(r.ok()) << r.status().to_string();
+  return {capture_find(r), cache_counters(solver.cache_stats())};
+}
+
+/// The serial oracle: find_once(pattern, hash_combine(seed, r)) for
+/// r = 0, 1, ... on one fresh Solver, folded with find's stop rule (first
+/// accepting run; default run count for the target's size).
+WaveCapture find_once_fold(
+    const Graph& g, const Pattern& pattern, std::uint64_t seed,
+    std::size_t capacity = 0,
+    cover::EngineKind engine = cover::EngineKind::kSparse) {
+  Solver solver(g);
+  if (capacity > 0) solver.set_cache_capacity(capacity);
+  QueryOptions opts;
+  opts.engine = engine;
+  const auto runs = static_cast<std::uint32_t>(
+      2.0 * std::log2(static_cast<double>(g.num_vertices()) + 2.0)) + 4;
+  WaveCapture fold;
+  std::uint64_t work = 0;
+  std::uint64_t rounds = 0;
+  for (std::uint32_t r = 0; r < runs && !fold.find.found; ++r) {
+    const Result<DecisionResult> one =
+        solver.find_once(pattern, support::hash_combine(seed, r), opts);
+    EXPECT_TRUE(one.ok()) << one.status().to_string();
+    ++fold.find.runs;
+    fold.find.slices_solved += one->slices_solved;
+    work += one->metrics.work();
+    rounds += one->metrics.rounds();
+    fold.find.found = one->found;
+    fold.find.witness = one->witness;
+  }
+  fold.find.work = work;
+  fold.find.rounds = rounds;
+  fold.cache = cache_counters(solver.cache_stats());
+  return fold;
+}
+
+TEST(SolverWaveThreads, NegativeFindOnGridIsThreadCountInvariant) {
+  // C5 never occurs in a bipartite grid: all 20 default runs go through
+  // waves {0}, {1,2}, {3..6}, {7..14}, {15..19}.
+  const Graph g = gen::grid_graph(16, 16);
+  const auto run = [&](int t) {
+    return with_threads(t, [&] { return wave_find(g, cycle_pattern(5), 7); });
+  };
+  const WaveCapture reference = run(1);
+  EXPECT_FALSE(reference.find.found);
+  EXPECT_EQ(reference.find.runs, 20u);
+  for (const int t : kThreadCounts)
+    expect_same_wave(reference, run(t), "threads " + std::to_string(t));
+}
+
+TEST(SolverWaveThreads, FindAcceptingInsideAWaveIsThreadCountInvariant) {
+  const Graph g = cross_target();
+  const auto run = [&](int t) {
+    return with_threads(
+        t, [&] { return wave_find(g, star_pattern(), kCrossSeed); });
+  };
+  const WaveCapture reference = run(1);
+  ASSERT_TRUE(reference.find.found);
+  ASSERT_TRUE(reference.find.witness.has_value());
+  EXPECT_EQ(reference.find.runs, 2u);  // accepts in run 1 of wave {1, 2}
+  for (const int t : kThreadCounts)
+    expect_same_wave(reference, run(t), "threads " + std::to_string(t));
+}
+
+TEST(SolverWaveThreads, FindSeparatingIsThreadCountInvariant) {
+  // The icosahedron is 5-connected, so its face-vertex graph has no
+  // S-separating C4: every default run is solved.
+  const planar::FaceVertexGraph fvg =
+      planar::build_face_vertex_graph(gen::icosahedron());
+  std::vector<std::uint8_t> in_s(fvg.graph.num_vertices(), 0);
+  for (Vertex v = 0; v < fvg.num_original; ++v) in_s[v] = 1;
+  const auto run = [&](int t) {
+    return with_threads(t, [&]() -> WaveCapture {
+      Solver solver(fvg.graph);
+      QueryOptions opts;
+      opts.seed = 3;
+      const auto r = solver.find_separating(in_s, cycle_pattern(4), opts);
+      EXPECT_TRUE(r.ok()) << r.status().to_string();
+      return {capture_find(r), cache_counters(solver.cache_stats())};
+    });
+  };
+  const WaveCapture reference = run(1);
+  EXPECT_FALSE(reference.find.found);
+  EXPECT_GT(reference.find.runs, 3u);
+  for (const int t : kThreadCounts)
+    expect_same_wave(reference, run(t), "threads " + std::to_string(t));
+}
+
+TEST(SolverWaveThreads, VertexConnectivityIsThreadCountInvariant) {
+  struct Case {
+    std::string name;
+    planar::EmbeddedGraph graph;
+    std::uint64_t seed;
+    std::uint32_t connectivity;
+    std::uint32_t cycle_runs;
+  };
+  // Three runs per probe (waves {0}, {1, 2}) keep the test short. The
+  // icosahedron's three probes are all negative. Antiprism-8's C4 and C6
+  // probes are negative, and with seed 28 its C8 probe accepts in run 1,
+  // leaving run 2 of the wave speculative.
+  const std::vector<Case> cases = {
+      {"icosahedron", gen::icosahedron(), 0, 5, 9},
+      {"antiprism8", gen::antiprism(8), 28, 4, 8}};
+  struct Capture {
+    std::uint32_t connectivity = 0;
+    std::vector<Vertex> cut;
+    std::uint32_t cycle_runs = 0;
+    std::uint64_t work = 0;
+    std::uint64_t rounds = 0;
+    std::vector<std::uint64_t> cache;
+  };
+  for (const Case& c : cases) {
+    const auto run = [&](int t) {
+      return with_threads(t, [&]() -> Capture {
+        Solver solver(c.graph);
+        QueryOptions opts;
+        opts.seed = c.seed;
+        opts.max_runs = 3;
+        const auto r = solver.vertex_connectivity(opts);
+        EXPECT_TRUE(r.ok()) << r.status().to_string();
+        return {r->connectivity,     r->witness_cut,
+                r->cycle_runs,       r->metrics.work(),
+                r->metrics.rounds(), cache_counters(solver.cache_stats())};
+      });
+    };
+    const Capture reference = run(1);
+    EXPECT_EQ(reference.connectivity, c.connectivity) << c.name;
+    EXPECT_EQ(reference.cycle_runs, c.cycle_runs) << c.name;
+    for (const int t : {2, 4}) {
+      const Capture got = run(t);
+      const std::string where = c.name + " threads " + std::to_string(t);
+      EXPECT_EQ(reference.connectivity, got.connectivity) << where;
+      EXPECT_EQ(reference.cut, got.cut) << where;
+      EXPECT_EQ(reference.cycle_runs, got.cycle_runs) << where;
+      EXPECT_EQ(reference.work, got.work) << where;
+      EXPECT_EQ(reference.rounds, got.rounds) << where;
+      EXPECT_EQ(reference.cache, got.cache) << where;
+    }
+  }
+}
+
+TEST(SolverWaveOracle, FindEqualsTheFoldOfFindOnce) {
+  struct Case {
+    std::string name;
+    Graph graph;
+    Pattern pattern;
+    std::uint64_t seed;
+  };
+  const std::vector<Case> cases = {
+      {"grid10/C5", gen::grid_graph(10, 10), cycle_pattern(5), 7},
+      {"cross/K1,4", cross_target(), star_pattern(), kCrossSeed}};
+  // Every engine: a wave solves its slices decision-only and re-solves the
+  // accepting one for the witness, which must change neither.
+  for (const auto engine :
+       {cover::EngineKind::kSparse, cover::EngineKind::kSequential,
+        cover::EngineKind::kParallel}) {
+    for (const Case& c : cases) {
+      const WaveCapture oracle =
+          find_once_fold(c.graph, c.pattern, c.seed, 0, engine);
+      for (const int t : {1, 4}) {
+        expect_same_wave(oracle, with_threads(t, [&] {
+                           return wave_find(c.graph, c.pattern, c.seed, 0,
+                                            engine);
+                         }),
+                         c.name + " engine " +
+                             std::to_string(static_cast<int>(engine)) +
+                             " threads " + std::to_string(t));
+      }
+    }
+  }
+}
+
+TEST(SolverWaveCache, SpeculativeRunsNeverInsertOrEvict) {
+  // At capacity 2 every insert past the second evicts, so a speculative
+  // run that touched the cache would show in the evictions and in what a
+  // follow-up query finds there. The follow-up (C5: same diameter and size
+  // as K_{1,4}, so the same covers; absent from the bipartite target) hits
+  // runs 0 and 1 and must miss run 2, the first query's speculative run.
+  const Graph g = cross_target();
+  const auto session = [&](int t) {
+    return with_threads(t, [&]() -> std::pair<WaveCapture, WaveCapture> {
+      Solver solver(g);
+      solver.set_cache_capacity(2);
+      QueryOptions opts;
+      opts.seed = kCrossSeed;
+      const auto first = solver.find(star_pattern(), opts);
+      EXPECT_TRUE(first.ok());
+      WaveCapture a{capture_find(first), cache_counters(solver.cache_stats())};
+      const auto follow = solver.find(cycle_pattern(5), opts);
+      EXPECT_TRUE(follow.ok());
+      return {a, {capture_find(follow), cache_counters(solver.cache_stats())}};
+    });
+  };
+  const auto reference = session(1);
+  // The first query matches the serial oracle at the same capacity.
+  expect_same_wave(find_once_fold(g, star_pattern(), kCrossSeed, 2),
+                   reference.first, "oracle");
+  EXPECT_EQ(reference.first.find.runs, 2u);
+  EXPECT_FALSE(reference.second.find.found);
+  for (const int t : kThreadCounts) {
+    const auto got = session(t);
+    const std::string where = "threads " + std::to_string(t);
+    expect_same_wave(reference.first, got.first, "first " + where);
+    expect_same_wave(reference.second, got.second, "follow-up " + where);
+  }
+}
+
+TEST(SolverWaveCancel, CancelMidWaveAccountsAPrefixOfTheRuns) {
+  // Per-run work and slice counts of the uncancelled sequence.
+  const Graph g = gen::grid_graph(16, 16);
+  const Pattern c5 = cycle_pattern(5);
+  constexpr std::uint64_t kSeed = 7;
+  std::vector<std::uint64_t> work_before{0};    // work of runs [0, r)
+  std::vector<std::uint64_t> slices_before{0};  // slices of runs [0, r)
+  {
+    Solver solver(g);
+    for (std::uint32_t r = 0; r < 20; ++r) {
+      const auto one = solver.find_once(c5, support::hash_combine(kSeed, r));
+      ASSERT_TRUE(one.ok());
+      work_before.push_back(work_before.back() + one->metrics.work());
+      slices_before.push_back(slices_before.back() + one->slices_solved);
+    }
+  }
+  QueryOptions opts;
+  opts.seed = kSeed;
+  const auto started = std::chrono::steady_clock::now();
+  with_threads(4, [&] { return Solver(g).find(c5, opts).ok(); });
+  const auto full = std::chrono::steady_clock::now() - started;
+
+  // Cancel from another thread at shrinking fractions of the full wall
+  // time until the cancellation lands after run 0, i.e. inside a wave.
+  bool landed_in_a_wave = false;
+  for (int divisor = 2; divisor <= 64 && !landed_in_a_wave; divisor *= 2) {
+    support::CancelToken token;
+    QueryOptions cancellable = opts;
+    cancellable.cancel = &token;
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(full / divisor);
+      token.cancel();
+    });
+    const auto r = with_threads(
+        4, [&] { return Solver(g).find(c5, cancellable); });
+    canceller.join();
+    ASSERT_TRUE(r.has_value());
+    if (r.ok()) continue;  // finished before the cancel: try earlier
+    ASSERT_EQ(r.status().code(), StatusCode::kCancelled)
+        << r.status().to_string();
+    const std::uint32_t runs = r->runs;
+    ASSERT_GE(runs, 1u);
+    ASSERT_LE(runs, 20u);
+    // A prefix: every run before the last accounted run in full, the last
+    // one up to some slice.
+    EXPECT_GE(r->metrics.work(), work_before[runs - 1]);
+    EXPECT_LE(r->metrics.work(), work_before[runs]);
+    EXPECT_GE(r->slices_solved, slices_before[runs - 1]);
+    EXPECT_LE(r->slices_solved, slices_before[runs]);
+    landed_in_a_wave = runs >= 2;
+  }
+  EXPECT_TRUE(landed_in_a_wave);
+}
+
+TEST(SolverWaveCodec, UnsupportedSpeculativeRunStopsAtThatRun) {
+  // K_{57,57} has no triangle, so C3's DP states hold at most one mapped
+  // edge and stay tiny. Its two-level slices are K_{57,56} (bag 57, past
+  // the codec's 56) unless the run's clustering split off a vertex of the
+  // larger side. With seed 67, runs 0 and 1 fit and run 2 — in wave
+  // {1, 2} — does not.
+  EdgeList edges;
+  const Vertex m = 57;
+  for (Vertex x = 0; x < m; ++x) {
+    for (Vertex y = 0; y < m; ++y) edges.push_back({x, m + y});
+  }
+  const Graph g = Graph::from_edges(2 * m, edges);
+  const Pattern c3 = cycle_pattern(3);
+  constexpr std::uint64_t kSeed = 67;
+
+  // Serial oracle: find_once run by run on one Solver.
+  WaveCapture oracle;
+  {
+    Solver solver(g);
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      const auto one = solver.find_once(c3, support::hash_combine(kSeed, r));
+      ASSERT_EQ(one.status().code(),
+                r < 2 ? StatusCode::kOk : StatusCode::kUnsupported)
+          << "run " << r << ": " << one.status().to_string();
+      ++oracle.find.runs;
+      oracle.find.slices_solved += one->slices_solved;
+      oracle.find.work += one->metrics.work();
+      oracle.find.rounds += one->metrics.rounds();
+    }
+    oracle.cache = cache_counters(solver.cache_stats());
+  }
+  for (const int t : kThreadCounts) {
+    const std::string where = "threads " + std::to_string(t);
+    with_threads(t, [&] {
+      Solver solver(g);
+      QueryOptions opts;
+      opts.seed = kSeed;
+      const auto r = solver.find(c3, opts);
+      EXPECT_EQ(r.status().code(), StatusCode::kUnsupported)
+          << where << ": " << r.status().to_string();
+      EXPECT_TRUE(r.has_value()) << where;
+      if (r.has_value()) {
+        expect_same_wave(oracle,
+                         {capture_find(r),
+                          cache_counters(solver.cache_stats())},
+                         where);
+      }
+      return 0;
+    });
+  }
 }
 
 }  // namespace

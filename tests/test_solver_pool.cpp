@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -495,6 +496,51 @@ TEST(SolverPoolAdmission, InteractiveParksRunningBulkAndResumesIt) {
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.queued, 0u);
   EXPECT_EQ(stats.running, 0u);
+}
+
+TEST(SolverPoolWave, BulkParkedMidWaveMatchesItsBlockingTwin) {
+  // A negative bulk find with default runs (C5 on a 20x20 grid: 21 runs)
+  // spends nearly all of its time in the waves after run 0, each of them
+  // one task graph over up to 8 runs. The interactive query arrives after
+  // run 0 has had time to finish, so the park lands inside a wave: the
+  // wave's pending tasks skip, the query parks between graph rounds, and
+  // the resumed round solves exactly the rest.
+  const Graph grid = gen::grid_graph(20, 20);
+  QueryOptions run0;
+  run0.max_runs = 1;
+  const auto run0_start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(Solver(grid).find(cycle_pattern(5), run0).ok());
+  const auto run0_time = std::chrono::steady_clock::now() - run0_start;
+
+  PoolOptions options;
+  options.max_concurrent = 1;
+  SolverPool pool(options);
+  const TargetId id = pool.add_target(grid);
+  Admission bulk;
+  bulk.priority = Priority::kBulk;
+  auto victim = pool.find_async(id, cycle_pattern(5), {}, bulk);
+  while (pool.stats().started < 1) std::this_thread::yield();
+  std::this_thread::sleep_for(2 * run0_time);
+
+  Admission interactive;
+  interactive.priority = Priority::kInteractive;
+  QueryOptions quick;
+  quick.max_runs = 1;
+  auto waiter = pool.find_async(id, cycle_pattern(4), quick, interactive);
+  ASSERT_TRUE(waiter.get().ok());
+
+  const auto& parked_result = victim.get();
+  ASSERT_TRUE(parked_result.ok()) << parked_result.status().to_string();
+  const auto blocking = Solver(grid).find(cycle_pattern(5));
+  ASSERT_TRUE(blocking.ok());
+  EXPECT_FALSE(blocking->found);
+  EXPECT_EQ(parked_result->found, blocking->found);
+  EXPECT_EQ(parked_result->witness, blocking->witness);
+  EXPECT_EQ(parked_result->runs, blocking->runs);
+  EXPECT_EQ(parked_result->slices_solved, blocking->slices_solved);
+  EXPECT_EQ(parked_result->metrics.work(), blocking->metrics.work());
+  EXPECT_EQ(parked_result->metrics.rounds(), blocking->metrics.rounds());
+  EXPECT_GE(pool.stats().park_events, 1u);
 }
 
 TEST(SolverPoolAdmission, StatsBalanceUnderConcurrentCancelAndShed) {
