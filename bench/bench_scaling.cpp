@@ -5,17 +5,15 @@
 // wall medians are the scaling curve. Each trial additionally re-times its
 // query pinned to one thread and emits
 //   speedup_vs_1t     — 1-thread seconds / sweep-thread seconds
-//                       (self-relative, robust to runner speed),
-// and the schedule/* cases A/B the barrier-free task-graph engine against
-// the reference layer-barrier schedule on one fixed decomposition:
-//   vs_layer_barrier  — layer-barrier seconds / task-graph seconds
-//                       (>= 1 means the task graph is no slower).
+//                       (self-relative, robust to runner speed);
+// the schedule/* cases time the task-graph engine on one fixed
+// decomposition.
 //
 // Cases:
 //   decision/<family>/<pat>  — Solver::find, parallel engine (slice tasks
 //                              nesting path tasks on the shared pool)
 //   listing/<family>/<pat>   — Solver::list (stopping rule, many covers)
-//   schedule/<family>/<pat>  — solve_parallel task-graph vs layer-barrier
+//   schedule/<family>/<pat>  — solve_parallel on a fixed decomposition
 //                              (a decomposition whose bags exceed the
 //                              state codec is reported as unsupported,
 //                              with counter unsupported = 1)
@@ -94,8 +92,8 @@ void add_listing(Registry& reg, const std::string& name, const Graph& g,
   });
 }
 
-void add_schedule_ab(Registry& reg, const std::string& name, const Graph& g,
-                     const iso::Pattern& pattern) {
+void add_schedule(Registry& reg, const std::string& name, const Graph& g,
+                  const iso::Pattern& pattern) {
   reg.add("schedule/" + name, [name, g, pattern](Trial& trial) {
     const auto td =
         treedecomp::binarize(treedecomp::greedy_decomposition(g));
@@ -115,23 +113,10 @@ void add_schedule_ab(Registry& reg, const std::string& name, const Graph& g,
       trial.counter("unsupported", 1);
       return;
     }
-    iso::ParallelOptions barrier;
-    barrier.schedule = iso::ParallelSchedule::kLayerBarrier;
-    double barrier_sec = 0;
-    {
-      support::ScopedTimer timed(barrier_sec);
-      iso::solve_parallel(g, td, pattern, barrier);
-    }
-    iso::ParallelOptions taskgraph;  // default schedule
-    double taskgraph_sec = 0;
     trial.measure([&] {
-      support::ScopedTimer timed(taskgraph_sec);
-      const iso::DpSolution sol =
-          iso::solve_parallel(g, td, pattern, taskgraph);
+      const iso::DpSolution sol = iso::solve_parallel(g, td, pattern, {});
       trial.record(sol.metrics);
     });
-    trial.counter("vs_layer_barrier",
-                  barrier_sec / std::max(taskgraph_sec, 1e-12));
   });
 }
 
@@ -147,9 +132,8 @@ void register_benchmarks(Registry& reg, const Corpus& corpus) {
 
   add_listing(reg, "grid/C4", corpus.grid(30, 30), c4);
 
-  add_schedule_ab(reg, "grid/C4", corpus.grid(40, 40), c4);
-  add_schedule_ab(reg, "apollonian/C4", corpus.apollonian(1200, 5).graph(),
-                  c4);
+  add_schedule(reg, "grid/C4", corpus.grid(40, 40), c4);
+  add_schedule(reg, "apollonian/C4", corpus.apollonian(1200, 5).graph(), c4);
 }
 
 }  // namespace

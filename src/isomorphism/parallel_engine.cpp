@@ -8,63 +8,6 @@
 #include "treepath/tree_paths.hpp"
 
 namespace ppsi::iso {
-namespace {
-
-/// Task-graph schedule: one task per path; a path's ready-counter is its
-/// number of child paths (paths whose top node's tree parent lies in it),
-/// so it starts the moment its own children finish — the slowest path of a
-/// layer no longer holds back unrelated paths of the next. Task ids equal
-/// path ids, so per-path stats land in pre-sized slots.
-void run_paths_task_graph(const Graph& g,
-                          const treedecomp::TreeDecomposition& td,
-                          const Pattern& pattern,
-                          const std::vector<BagContext>& ctxs,
-                          const treepath::PathDecomposition& paths,
-                          const PathSolveConfig& config,
-                          const support::CancelScope& cancel,
-                          DpSolution& sol, std::vector<PathStats>& per_path) {
-  const std::size_t num_paths = paths.paths.size();
-  support::TaskGraph graph;
-  for (std::size_t pi = 0; pi < num_paths; ++pi) {
-    graph.add([&, pi] {
-      if (cancel.cancelled()) return;  // owning slice query already accepted
-      PPSI_FAULT_POINT("engine.path");
-      per_path[pi] =
-          solve_path(g, td, pattern, ctxs, paths.paths[pi], config, sol);
-    });
-  }
-  for (std::uint32_t pi = 0; pi < num_paths; ++pi) {
-    const treedecomp::NodeId top = paths.paths[pi].back();
-    const treedecomp::NodeId parent = td.parent[top];
-    if (parent != treedecomp::kNoNode)
-      graph.add_edge(pi, paths.path_of[parent]);
-  }
-  support::Scheduler::run(graph);
-}
-
-/// Reference schedule: all paths of a layer in parallel, full barrier
-/// between layers (the pre-scheduler engine, kept for A/B benchmarking;
-/// results and instrumented counts are bit-identical to the task graph).
-void run_paths_layer_barrier(const Graph& g,
-                             const treedecomp::TreeDecomposition& td,
-                             const Pattern& pattern,
-                             const std::vector<BagContext>& ctxs,
-                             const treepath::PathDecomposition& paths,
-                             const PathSolveConfig& config, DpSolution& sol,
-                             std::vector<PathStats>& per_path) {
-  for (std::uint32_t layer = 0; layer < paths.num_layers; ++layer) {
-    support::parallel_for(
-        paths.layer_path_offsets[layer], paths.layer_path_offsets[layer + 1],
-        [&](std::size_t pi) {
-          PPSI_FAULT_POINT("engine.path");
-          per_path[pi] =
-              solve_path(g, td, pattern, ctxs, paths.paths[pi], config, sol);
-        },
-        /*grain=*/1);
-  }
-}
-
-}  // namespace
 
 DpSolution solve_parallel(const Graph& g,
                           const treedecomp::TreeDecomposition& td,
@@ -90,9 +33,7 @@ DpSolution solve_parallel(const Graph& g,
   forest.parent.assign(td.parent.begin(), td.parent.end());
   support::Metrics contraction_metrics;
   std::vector<std::uint32_t> layers =
-      options.use_tree_contraction
-          ? treepath::layer_numbers_contraction(forest, &contraction_metrics)
-          : treepath::layer_numbers_sequential(forest);
+      treepath::layer_numbers_contraction(forest, &contraction_metrics);
   const treepath::PathDecomposition paths =
       treepath::decompose_into_paths(forest, std::move(layers));
   sol.metrics.absorb(contraction_metrics);
@@ -103,20 +44,32 @@ DpSolution solve_parallel(const Graph& g,
 
   const PathSolveConfig config{separating, options.use_shortcuts,
                                options.release_interior};
-  // One per-solve stats array indexed by path id (hoisted out of the old
-  // per-layer loop); tasks write disjoint slots.
-  std::vector<PathStats> per_path(paths.paths.size());
-  if (options.schedule == ParallelSchedule::kTaskGraph) {
-    run_paths_task_graph(g, td, pattern, ctxs, paths, config, options.cancel,
-                         sol, per_path);
-  } else {
-    run_paths_layer_barrier(g, td, pattern, ctxs, paths, config, sol,
-                            per_path);
+  // One task per path; a path's ready-counter is its number of child paths
+  // (paths whose top node's tree parent lies in it), so it starts the moment
+  // its own children finish — the slowest path of a layer does not hold
+  // back unrelated paths of the next. Task ids equal path ids, so per-path
+  // stats land in disjoint pre-sized slots.
+  const std::size_t num_paths = paths.paths.size();
+  std::vector<PathStats> per_path(num_paths);
+  support::TaskGraph graph;
+  for (std::size_t pi = 0; pi < num_paths; ++pi) {
+    graph.add([&, pi] {
+      if (options.cancel.cancelled()) return;  // slice query already accepted
+      PPSI_FAULT_POINT("engine.path");
+      per_path[pi] =
+          solve_path(g, td, pattern, ctxs, paths.paths[pi], config, sol);
+    });
   }
+  for (std::uint32_t pi = 0; pi < num_paths; ++pi) {
+    const treedecomp::NodeId parent = td.parent[paths.paths[pi].back()];
+    if (parent != treedecomp::kNoNode)
+      graph.add_edge(pi, paths.path_of[parent]);
+  }
+  support::Scheduler::run(graph);
 
-  // Canonical-order fold: identical arithmetic to the old per-layer loop,
-  // independent of the schedule that produced per_path. The critical path
-  // of a layer is its slowest path; layers compose sequentially.
+  // Canonical-order fold, independent of the order the tasks ran in. The
+  // critical path of a layer is its slowest path; layers compose
+  // sequentially.
   for (std::uint32_t layer = 0; layer < paths.num_layers; ++layer) {
     const std::uint32_t begin = paths.layer_path_offsets[layer];
     const std::uint32_t end = paths.layer_path_offsets[layer + 1];

@@ -6,15 +6,13 @@
 // with the Appendix A tree-contraction evaluation); each path is solved
 // through the shortcut reachability of its partial-match DAG (§3.3.2–3.3.3).
 //
-// Scheduling: by default every path is one task in a support::TaskGraph
-// whose ready-counter is its number of child paths, so a path starts the
-// moment its own children finish — no barrier at layer boundaries, and the
-// tasks interleave with other slices' paths on the one shared executor.
-// The pre-scheduler per-layer `parallel_for` loop is kept behind
-// ParallelSchedule::kLayerBarrier for A/B benchmarking and differential
-// pinning: both schedules produce bit-identical solutions and instrumented
-// work/round counts for every thread count (per-path metric deltas are
-// folded in canonical layer order after the join).
+// Scheduling: every path is one task in a support::TaskGraph whose
+// ready-counter is its number of child paths, so a path starts the moment
+// its own children finish — no barrier at layer boundaries, and the tasks
+// interleave with other slices' paths on the one shared executor. Results
+// and instrumented work/round counts are identical for every thread count
+// (per-path metric deltas are folded in canonical layer order after the
+// join).
 
 #include "isomorphism/match_dag.hpp"
 #include "isomorphism/sequential_dp.hpp"
@@ -22,26 +20,17 @@
 
 namespace ppsi::iso {
 
-/// How solve_parallel runs the paths of the decomposition.
-enum class ParallelSchedule {
-  kTaskGraph,     ///< dependency-driven tasks, no layer barrier (default)
-  kLayerBarrier,  ///< reference: layers in order, full barrier between
-};
-
 struct ParallelOptions {
   SeparatingSpec spec;       ///< separating configuration
   bool use_shortcuts = true; ///< Lemma 3.3 shortcuts (base mode only)
-  /// Layer numbers via Appendix A tree contraction (otherwise sequential).
-  bool use_tree_contraction = true;
   /// Decision-only: free solved nodes as soon as their parent consumed
   /// them (see DpOptions::release_interior).
   bool release_interior = false;
-  ParallelSchedule schedule = ParallelSchedule::kTaskGraph;
-  /// Cooperative cancellation (task-graph schedule only): once the scope
-  /// reports cancelled, remaining path tasks skip themselves. A cancelled
-  /// solve returns early with a partial solution whose outputs and metrics
-  /// MUST be discarded by the caller (api/solver.cpp's deterministic replay
-  /// never reads cancelled slices).
+  /// Cooperative cancellation: once the scope reports cancelled, remaining
+  /// path tasks skip themselves. A cancelled solve returns early with a
+  /// partial solution whose outputs and metrics MUST be discarded by the
+  /// caller (api/solver.cpp's deterministic replay never reads cancelled
+  /// slices).
   support::CancelScope cancel;
 };
 

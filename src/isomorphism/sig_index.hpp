@@ -36,8 +36,8 @@ class SigIndex {
   /// Builds from (signature, state index) pairs; sorts `pairs` in place.
   /// Storage is exact: one allocation per array, no growth. Also builds a
   /// hash-bitmap prefilter (~4 bits per distinct signature, power-of-two
-  /// sized) so the batched probe layer rejects most absent signatures with
-  /// one bit test instead of a binary search.
+  /// sized) so contains() rejects most absent signatures with one bit test
+  /// instead of a binary search.
   void build(std::vector<std::pair<StateKey, std::uint32_t>>& pairs) {
     clear();
     std::sort(pairs.begin(), pairs.end());
@@ -84,25 +84,10 @@ class SigIndex {
   }
 
   bool contains(const StateKey& sig) const {
-    return contains_hashed(sig, StateKeyHash{}(sig));
-  }
-
-  /// contains() with the hash supplied by the caller (the batched probe
-  /// layer hashes key groups with the SIMD kernels). `hash` must equal
-  /// StateKeyHash{}(sig); the result is identical to contains().
-  bool contains_hashed(const StateKey& sig, std::size_t hash) const {
     if (filter_.empty()) return false;
-    const std::size_t bit = hash & filter_mask_;
+    const std::size_t bit = StateKeyHash{}(sig) & filter_mask_;
     if ((filter_[bit / 64] >> (bit % 64) & 1ULL) == 0) return false;
     return slot_of(sig) >= 0;
-  }
-
-  /// Prefetches the prefilter word of a signature hashing to `hash`.
-  void prefetch_hashed(std::size_t hash) const {
-    if (filter_.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&filter_[(hash & filter_mask_) / 64], 0, 1);
-#endif
   }
 
   /// State indices projecting to `sig` (empty when absent; groups of

@@ -1,6 +1,9 @@
 #include "support/scheduler.hpp"
 
 #include <omp.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <chrono>
@@ -16,7 +19,6 @@
 #include <utility>
 
 #include "support/fault.hpp"
-#include "support/numa.hpp"
 #include "support/types.hpp"
 
 namespace ppsi::support {
@@ -113,6 +115,22 @@ class Run {
   bool done_ = false;         // guarded by mutex_
   std::exception_ptr error_;  // guarded by mutex_
 };
+
+void widen_narrow_mask(int min_cpus) {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) != 0 ||
+      CPU_COUNT(&set) >= min_cpus)
+    return;
+  // Ask for every CPU id: the kernel clips the mask to the online CPUs
+  // the process's cpuset allows, whatever their numbering.
+  CPU_ZERO(&set);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) CPU_SET(cpu, &set);
+  (void)sched_setaffinity(0, sizeof set, &set);
+#else
+  (void)min_cpus;
+#endif
+}
 
 namespace {
 
@@ -224,14 +242,7 @@ class Executor {
 
   void worker_loop(std::size_t index, int width) {
     tls_worker = static_cast<int>(index);
-    numa::widen_narrow_mask(width);
-    // Opt-in explicit NUMA placement (PPSI_NUMA=ON): workers pin
-    // round-robin across the online nodes before touching any scratch, so
-    // their thread_local arenas first-touch — and stay — on the bound
-    // node. Off (the default) or on single-node hosts this is a no-op and
-    // placement falls back to plain first-touch.
-    if (numa::enabled() && numa::num_nodes() > 1)
-      numa::bind_current_thread(numa::preferred_node_for_worker(index));
+    widen_narrow_mask(width);
     for (;;) {
       if (std::optional<Item> item = take([](const Item&) { return true; })) {
         execute(*item);

@@ -73,7 +73,15 @@ namespace ppsi::support {
 
 namespace detail {
 class Run;  // scheduler.cpp: one run()/fork()'s execution state
-}
+
+/// Widens the calling thread's CPU mask to every CPU the process's cpuset
+/// allows when it allows fewer than `min_cpus`. Threads inherit their
+/// creator's mask, and libgomp pins the initial thread to one place at
+/// startup when OMP_PROC_BIND is set; executor workers created from such
+/// a thread would otherwise share one core. A mask at least `min_cpus`
+/// wide (e.g. a deliberate taskset) is kept. No-op off Linux.
+void widen_narrow_mask(int min_cpus);
+}  // namespace detail
 
 /// Width of the parallel work started on this thread: inside an executor
 /// task, the width of the task's run; elsewhere omp_get_max_threads()

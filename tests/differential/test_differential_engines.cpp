@@ -13,6 +13,7 @@
 #include "isomorphism/pattern.hpp"
 #include "isomorphism/sequential_dp.hpp"
 #include "isomorphism/sparse_dp.hpp"
+#include "support/rng.hpp"
 #include "testing/random_inputs.hpp"
 #include "testing/witness_checks.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
@@ -81,8 +82,8 @@ TEST_P(EngineEquivalence, ParallelAndSparseMatchSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalence, ::testing::Range(0, 120));
 
-// The shortcut and tree-contraction options are pure optimizations: every
-// configuration of the parallel engine must agree with the default.
+// The shortcuts are a pure optimization: the parallel engine must agree
+// with the sequential one with them on and off.
 class ParallelOptionsEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelOptionsEquivalence, AllConfigurationsAgree) {
@@ -95,21 +96,75 @@ TEST_P(ParallelOptionsEquivalence, AllConfigurationsAgree) {
 
   const DpSolution reference = solve_sequential(g, td, pattern, {});
   for (const bool shortcuts : {false, true}) {
-    for (const bool contraction : {false, true}) {
-      ParallelOptions options;
-      options.use_shortcuts = shortcuts;
-      options.use_tree_contraction = contraction;
-      const DpSolution sol = solve_parallel(g, td, pattern, options);
-      expect_identical_solutions(
-          reference, sol, td,
-          context + " shortcuts=" + std::to_string(shortcuts) +
-              " contraction=" + std::to_string(contraction));
-    }
+    ParallelOptions options;
+    options.use_shortcuts = shortcuts;
+    const DpSolution sol = solve_parallel(g, td, pattern, options);
+    expect_identical_solutions(
+        reference, sol, td,
+        context + " shortcuts=" + std::to_string(shortcuts));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelOptionsEquivalence,
                          ::testing::Range(0, 40));
+
+// Accounted work and rounds are part of the engines' contract: the
+// support check ticks once per probed combo up to and including the first
+// supported one, and the match DAG ticks once per heavy-edge combo. Exact
+// values, so a change to how combos are probed cannot move the counts
+// unnoticed (the bench smoke gate allows 30%).
+struct PinnedCounts {
+  std::uint64_t seed;
+  bool separating;
+  std::uint64_t seq_work, seq_rounds;
+  std::uint64_t par_work, par_rounds;
+  std::uint64_t no_shortcut_work, no_shortcut_rounds;
+};
+
+constexpr PinnedCounts kPinned[] = {
+    {0, false, 8832, 13, 15030, 14, 14856, 14},
+    {2, false, 16590, 20, 25876, 21, 25412, 21},
+    {4, false, 23860, 21, 30478, 24, 30401, 24},
+    {6, false, 56523, 25, 82204, 24, 80996, 25},
+    {2, true, 95372, 20, 102550, 25, 102550, 25},
+    {4, true, 146893, 21, 149588, 28, 149588, 28},
+};
+
+TEST(AccountedWork, SequentialAndParallelCountsArePinned) {
+  for (const PinnedCounts& want : kPinned) {
+    const Graph g = testing::random_target(want.seed);
+    const Pattern pattern = testing::random_pattern(want.seed);
+    const auto td = treedecomp::binarize(treedecomp::greedy_decomposition(g));
+    SeparatingSpec spec;
+    if (want.separating) {
+      support::Rng rng(want.seed, /*stream=*/0x5e9a);
+      spec.enabled = true;
+      spec.in_s.assign(g.num_vertices(), 0);
+      spec.allowed.assign(g.num_vertices(), 1);
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        spec.in_s[v] = rng.next_below(3) == 0 ? 1 : 0;
+        spec.allowed[v] = rng.next_below(4) != 0 ? 1 : 0;
+      }
+    }
+    const std::string context = "seed " + std::to_string(want.seed) +
+                                " separating " +
+                                std::to_string(want.separating);
+    DpOptions seq_options;
+    seq_options.spec = spec;
+    const DpSolution seq = solve_sequential(g, td, pattern, seq_options);
+    EXPECT_EQ(seq.metrics.work(), want.seq_work) << context;
+    EXPECT_EQ(seq.metrics.rounds(), want.seq_rounds) << context;
+    ParallelOptions par_options;
+    par_options.spec = spec;
+    const DpSolution par = solve_parallel(g, td, pattern, par_options);
+    EXPECT_EQ(par.metrics.work(), want.par_work) << context;
+    EXPECT_EQ(par.metrics.rounds(), want.par_rounds) << context;
+    par_options.use_shortcuts = false;
+    const DpSolution plain = solve_parallel(g, td, pattern, par_options);
+    EXPECT_EQ(plain.metrics.work(), want.no_shortcut_work) << context;
+    EXPECT_EQ(plain.metrics.rounds(), want.no_shortcut_rounds) << context;
+  }
+}
 
 }  // namespace
 }  // namespace ppsi::iso

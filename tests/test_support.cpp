@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "support/metrics.hpp"
-#include "support/numa.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/scheduler.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
 
@@ -242,11 +242,11 @@ TEST(NumaPlacement, NarrowInheritedMaskIsWidened) {
     CPU_ZERO(&one);
     CPU_SET(first, &one);
     ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
-    numa::widen_narrow_mask(1);  // one CPU is enough: kept
+    detail::widen_narrow_mask(1);  // one CPU is enough: kept
     cpu_set_t mask;
     ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
     EXPECT_EQ(CPU_COUNT(&mask), 1);
-    numa::widen_narrow_mask(2);
+    detail::widen_narrow_mask(2);
     ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
     EXPECT_GE(CPU_COUNT(&mask), 2);
   }).join();
