@@ -57,6 +57,12 @@ struct VersionLedger {
   CacheStats harvested;
 };
 
+/// Adds the cumulative cache counters of a sub-solver (hits, misses,
+/// evictions, slice and purge counts) into `into`. cover_entries and the
+/// version counts describe resident state and stay out: a dead version's
+/// entries die with it, and the Solver adds a live sub-solver's itself.
+void add_cumulative(CacheStats* into, const CacheStats& sub);
+
 /// One immutable committed snapshot of a Solver's target. Everything a
 /// query reads about the target lives here; the Solver's cover cache is
 /// keyed by `id`. The face-vertex connectivity state is per-version (a

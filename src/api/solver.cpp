@@ -34,7 +34,6 @@
 #include "support/rng.hpp"
 #include "support/scheduler.hpp"
 #include "support/timer.hpp"
-#include "treedecomp/bfs_layer_decomposition.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
 // GCC 12's -Wmaybe-uninitialized fires false positives in the query methods
@@ -90,16 +89,19 @@ std::string Status::to_string() const {
 }
 
 Status validate(const QueryOptions& options) {
-  cover::PipelineOptions pipeline;
-  pipeline.seed = options.seed;
-  pipeline.max_runs = options.max_runs;
-  pipeline.engine = options.engine;
-  pipeline.decomposition = options.decomposition;
-  pipeline.use_shortcuts = options.use_shortcuts;
-  pipeline.list_limit = options.list_limit;
-  pipeline.stopping_slack = options.stopping_slack;
-  if (const char* message = cover::validate_options(pipeline))
-    return Status::InvalidOptions(message);
+  if (options.list_limit == 0)
+    return Status::InvalidOptions("list_limit must be positive");
+  if (options.stopping_slack > cover::kMaxStoppingSlack)
+    return Status::InvalidOptions(
+        "stopping_slack out of range (max kMaxStoppingSlack = 64)");
+  switch (options.engine) {
+    case cover::EngineKind::kSparse:
+    case cover::EngineKind::kParallel:
+    case cover::EngineKind::kSequential:
+      break;
+    default:
+      return Status::InvalidOptions("unknown engine kind");
+  }
   if (std::isnan(options.deadline_seconds) || options.deadline_seconds < 0)
     return Status::InvalidOptions(
         "deadline_seconds must be non-negative (0 disables the deadline)");
@@ -159,21 +161,11 @@ std::uint32_t default_runs(Vertex n) {
 /// decomposition instead of rebuilding it (api/dynamic.hpp).
 using TdList = std::vector<std::shared_ptr<const treedecomp::TreeDecomposition>>;
 
-treedecomp::TreeDecomposition decompose_slice(
-    const Slice& slice, cover::DecompositionKind kind) {
-  using namespace treedecomp;
+/// Every slice decomposes with the greedy min-degree heuristic: any valid
+/// decomposition serves the DP, and that one is the fastest measured.
+treedecomp::TreeDecomposition decompose_slice(const Slice& slice) {
   PPSI_FAULT_POINT("solver.decompose");
-  switch (kind) {
-    case cover::DecompositionKind::kGreedyMinFill:
-      return binarize(
-          greedy_decomposition(slice.graph, GreedyStrategy::kMinFill));
-    case cover::DecompositionKind::kBfsLayer:
-      return binarize(bfs_layer_decomposition(slice.graph, slice.bfs_root));
-    case cover::DecompositionKind::kGreedyMinDegree:
-      break;
-  }
-  return binarize(
-      greedy_decomposition(slice.graph, GreedyStrategy::kMinDegree));
+  return treedecomp::binarize(treedecomp::greedy_decomposition(slice.graph));
 }
 
 iso::DpSolution solve_slice(const Slice& slice,
@@ -183,19 +175,14 @@ iso::DpSolution solve_slice(const Slice& slice,
                             bool release_interior,
                             const support::CancelScope& cancel) {
   PPSI_FAULT_POINT("solver.slice");
-  if (options.engine == cover::EngineKind::kSequential) {
+  if (options.engine != cover::EngineKind::kParallel) {
     iso::DpOptions dp;
     dp.spec = slice.spec;
     dp.release_interior = release_interior;
     dp.cancel = cancel;  // per-node checks preempt mid-slice
-    return iso::solve_sequential(slice.graph, td, pattern, dp);
-  }
-  if (options.engine == cover::EngineKind::kSparse) {
-    iso::DpOptions dp;
-    dp.spec = slice.spec;
-    dp.release_interior = release_interior;
-    dp.cancel = cancel;
-    return iso::solve_sparse(slice.graph, td, pattern, dp);
+    return options.engine == cover::EngineKind::kSequential
+               ? iso::solve_sequential(slice.graph, td, pattern, dp)
+               : iso::solve_sparse(slice.graph, td, pattern, dp);
   }
   iso::ParallelOptions par;
   par.spec = slice.spec;
@@ -642,17 +629,17 @@ struct CoverKey {
   }
 };
 
-/// One memoized cover plus its per-kind slice decompositions. Built under
-/// `mutex`; immutable afterwards (new decomposition kinds only append map
-/// nodes, never touch existing ones) — which is what lets a newer version's
-/// build read a donor entry's slices and share its decomposition pointers
-/// after only a null check under the donor's mutex.
+/// One memoized cover plus its slice decompositions. Built under `mutex`
+/// and published whole, so an entry is either empty (`cover` null) or
+/// complete, and immutable once complete — which is what lets a newer
+/// version's build read a donor entry's slices and share its decomposition
+/// pointers after only a null check under the donor's mutex.
 struct CoverEntry {
   std::mutex mutex;
   /// Null until built. Shared so that a cover built privately ahead of its
   /// publication (Impl::prepare_cover) is installed without a copy.
   std::shared_ptr<const Cover> cover;
-  std::map<cover::DecompositionKind, TdList> tds;
+  TdList tds;
   /// LRU tick, guarded by the owning Solver's cache_mutex (not `mutex`).
   std::uint64_t last_used = 0;
 };
@@ -666,10 +653,10 @@ struct CoverAccess {
   bool built_cover = false;  ///< this call built it (owns its metrics)
 };
 
-/// A cover and its decompositions of one kind, obtained without any cache
-/// bookkeeping: borrowed from a resident entry or built privately
-/// (Impl::prepare_cover). Covers and decompositions are deterministic, so
-/// it equals what an in-order acquire would have produced.
+/// A cover and its decompositions, obtained without any cache bookkeeping:
+/// borrowed from a resident entry or built privately (Impl::prepare_cover).
+/// Covers and decompositions are deterministic, so it equals what an
+/// in-order acquire would have produced.
 struct PreparedCover {
   std::shared_ptr<const Cover> cover;
   TdList tds;
@@ -695,14 +682,14 @@ std::shared_ptr<const Cover> build_cover(const Graph& g, const CoverKey& key) {
 /// per-slice deterministic, so the assembled vector is too). Grain 1:
 /// decompositions are orders of magnitude heavier than a loop iteration's
 /// overhead.
-void decompose_slices(const Cover& cover, cover::DecompositionKind kind,
-                      const std::vector<std::size_t>& which, TdList& tds) {
+void decompose_slices(const Cover& cover, const std::vector<std::size_t>& which,
+                      TdList& tds) {
   support::parallel_for(
       0, which.size(),
       [&](std::size_t r) {
         const std::size_t i = which[r];
         tds[i] = std::make_shared<const treedecomp::TreeDecomposition>(
-            decompose_slice(cover.slices[i], kind));
+            decompose_slice(cover.slices[i]));
       },
       /*grain=*/1);
 }
@@ -774,6 +761,29 @@ std::vector<std::size_t> share_donor_slices(const Cover& cover,
   return rebuild;
 }
 
+/// Builds the unit a cache entry publishes: the cover `key` names on `g`
+/// and its slice decompositions. Slices structurally identical to one of
+/// `donor`'s share its decomposition; with `prepared`, the cover and the
+/// other decompositions come from it, else they are built here. `*rebuilt`
+/// (if non-null) receives the number of slices not shared with the donor.
+PreparedCover build_with_decompositions(const Graph& g, const CoverKey& key,
+                                        const PreparedCover& donor,
+                                        const PreparedCover* prepared,
+                                        std::size_t* rebuilt) {
+  PreparedCover out;
+  out.cover = prepared != nullptr ? prepared->cover : build_cover(g, key);
+  out.tds.resize(out.cover->slices.size());
+  const std::vector<std::size_t> rebuild =
+      share_donor_slices(*out.cover, donor, out.tds);
+  if (prepared != nullptr) {
+    for (const std::size_t i : rebuild) out.tds[i] = prepared->tds[i];
+  } else {
+    decompose_slices(*out.cover, rebuild, out.tds);
+  }
+  if (rebuilt != nullptr) *rebuilt = rebuild.size();
+  return out;
+}
+
 }  // namespace
 
 struct Solver::Impl {
@@ -800,8 +810,6 @@ struct Solver::Impl {
   std::uint64_t use_tick = 0;                          // guarded by ^
   std::atomic<std::uint64_t> cover_hits{0};
   std::atomic<std::uint64_t> cover_misses{0};
-  std::atomic<std::uint64_t> td_hits{0};
-  std::atomic<std::uint64_t> td_misses{0};
   std::atomic<std::uint64_t> evictions{0};
   std::atomic<std::uint64_t> slices_rebuilt{0};
   std::atomic<std::uint64_t> slices_reused{0};
@@ -865,26 +873,22 @@ struct Solver::Impl {
     return prev->first.same_base(key) ? prev->second : nullptr;
   }
 
-  /// The donor's cover and `kind` decompositions, or an empty result while
-  /// it has none. Locking order entry -> donor is acyclic: a thread only
-  /// ever waits on strictly older versions.
-  static PreparedCover donated(const std::shared_ptr<CoverEntry>& donor,
-                               cover::DecompositionKind kind) {
+  /// The donor's cover and decompositions, or an empty result while it
+  /// has none. Locking order entry -> donor is acyclic: a thread only ever
+  /// waits on strictly older versions.
+  static PreparedCover donated(const std::shared_ptr<CoverEntry>& donor) {
     if (!donor) return {};
     const std::lock_guard<std::mutex> lock(donor->mutex);
-    const auto it = donor->tds.find(kind);
-    if (!donor->cover || it == donor->tds.end()) return {};
-    return {donor->cover, it->second};
+    return {donor->cover, donor->tds};
   }
 
-  /// The side-effect-free half of acquire_cover: reads the resident cover
-  /// and decompositions for (key, kind) without counting a hit, ticking
-  /// the LRU clock or inserting an entry, and builds whatever is missing
+  /// The side-effect-free half of acquire_cover: reads the resident entry
+  /// for `key` without counting a hit, ticking the LRU clock or inserting
+  /// an entry, and otherwise builds the cover and its decompositions
   /// privately (sharing a donor's decompositions as acquire_cover would).
-  /// acquire_cover(ver, key, kind, &prepared) later does the bookkeeping.
+  /// acquire_cover(ver, key, &prepared) later does the bookkeeping.
   PreparedCover prepare_cover(const detail::VersionState& ver,
-                              const CoverKey& key,
-                              cover::DecompositionKind kind) {
+                              const CoverKey& key) {
     std::shared_ptr<CoverEntry> entry;
     std::shared_ptr<CoverEntry> donor;
     {
@@ -893,33 +897,21 @@ struct Solver::Impl {
       if (pos != covers.end() && !(key < pos->first)) entry = pos->second;
       donor = donor_before(pos, key);
     }
-    PreparedCover out;
     if (entry) {
       const std::lock_guard<std::mutex> lock(entry->mutex);
-      out.cover = entry->cover;
-      const auto it = entry->tds.find(kind);
-      if (out.cover && it != entry->tds.end()) {
-        out.tds = it->second;
-        return out;
-      }
+      if (entry->cover) return {entry->cover, entry->tds};
     }
-    if (!out.cover) out.cover = build_cover(ver.graph, key);
-    out.tds.resize(out.cover->slices.size());
-    decompose_slices(*out.cover, kind,
-                     share_donor_slices(*out.cover, donated(donor, kind),
-                                        out.tds),
-                     out.tds);
-    return out;
+    return build_with_decompositions(ver.graph, key, donated(donor), nullptr,
+                                     nullptr);
   }
 
-  /// Looks up (key, kind) in the cache, counting the hit or miss, ticking
-  /// the LRU clock and evicting beyond the capacity, and builds what the
-  /// entry lacks. With `prepared`, a missing cover or decomposition is
-  /// taken from it instead of built: the publish step of a run whose cover
-  /// prepare_cover produced ahead of time.
+  /// Looks up `key` in the cache, counting the hit or miss, ticking the
+  /// LRU clock and evicting beyond the capacity, and builds and publishes
+  /// the cover with its decompositions on a miss. With `prepared`, the
+  /// miss takes them from it instead of building: the publish step of a
+  /// run whose cover prepare_cover produced ahead of time.
   CoverAccess acquire_cover(const detail::VersionState& ver,
                             const CoverKey& key,
-                            cover::DecompositionKind kind,
                             const PreparedCover* prepared = nullptr) {
     CoverAccess access;
     std::shared_ptr<CoverEntry> donor;
@@ -948,46 +940,30 @@ struct Solver::Impl {
       }
     }
     CoverEntry& entry = *access.entry;
-    bool donated_any = false;
     {
       const std::lock_guard<std::mutex> lock(entry.mutex);
       if (!entry.cover) {
         // Containment note: a throw from the build (including the injected
-        // point) unwinds the lock_guards with the cover still null and no
-        // miss counted — the entry stays an empty shell a later query (or
-        // a pool retry) builds from scratch.
-        entry.cover = prepared != nullptr ? prepared->cover
-                                          : build_cover(ver.graph, key);
+        // points) unwinds the lock_guards with the entry still empty and no
+        // miss counted — an empty shell a later query (or a pool retry)
+        // builds from scratch.
+        std::size_t rebuilt = 0;
+        PreparedCover built = build_with_decompositions(
+            ver.graph, key, donated(donor), prepared, &rebuilt);
+        slices_rebuilt.fetch_add(rebuilt, std::memory_order_relaxed);
+        slices_reused.fetch_add(built.tds.size() - rebuilt,
+                                std::memory_order_relaxed);
+        entry.cover = std::move(built.cover);
+        entry.tds = std::move(built.tds);
         access.built_cover = true;
         cover_misses.fetch_add(1, std::memory_order_relaxed);
       } else {
         cover_hits.fetch_add(1, std::memory_order_relaxed);
       }
-      auto it = entry.tds.find(kind);
-      if (it == entry.tds.end()) {
-        TdList tds(entry.cover->slices.size());
-        const std::vector<std::size_t> rebuild = share_donor_slices(
-            *entry.cover,
-            donor != access.entry ? donated(donor, kind) : PreparedCover{},
-            tds);
-        if (prepared != nullptr) {
-          for (const std::size_t i : rebuild) tds[i] = prepared->tds[i];
-        } else {
-          decompose_slices(*entry.cover, kind, rebuild, tds);
-        }
-        slices_rebuilt.fetch_add(rebuild.size(), std::memory_order_relaxed);
-        slices_reused.fetch_add(tds.size() - rebuild.size(),
-                                std::memory_order_relaxed);
-        donated_any = tds.size() > rebuild.size();
-        it = entry.tds.emplace(kind, std::move(tds)).first;
-        td_misses.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        td_hits.fetch_add(1, std::memory_order_relaxed);
-      }
       access.cover = entry.cover.get();
-      access.tds = &it->second;
+      access.tds = &entry.tds;
     }
-    if (donor || donated_any) purge_stale(key);
+    if (donor) purge_stale(key);
     return access;
   }
 
@@ -1030,18 +1006,17 @@ struct Solver::Impl {
                   std::span<const CoverKey> keys, const Pattern& pattern,
                   const QueryOptions& options, const Budget& budget,
                   DecisionResult* total, Status* status) {
-    const cover::DecompositionKind kind = options.decomposition;
     std::vector<CoverAccess> access(keys.size());
     std::vector<PreparedCover> prepared(keys.size());
     std::vector<RunCover> runs(keys.size());
     if (keys.size() == 1) {
-      access[0] = acquire_cover(ver, keys[0], kind);
+      access[0] = acquire_cover(ver, keys[0]);
       runs[0] = {access[0].cover, access[0].tds};
     } else {
       support::parallel_for(
           0, keys.size(),
           [&](std::size_t r) {
-            prepared[r] = prepare_cover(ver, keys[r], kind);
+            prepared[r] = prepare_cover(ver, keys[r]);
           },
           /*grain=*/1);
       for (std::size_t r = 0; r < keys.size(); ++r)
@@ -1049,7 +1024,7 @@ struct Solver::Impl {
     }
     const auto begin_run = [&](std::size_t r) {
       if (!access[r].entry)
-        access[r] = acquire_cover(ver, keys[r], kind, &prepared[r]);
+        access[r] = acquire_cover(ver, keys[r], &prepared[r]);
       // Cover-build metrics are charged only to the run that built the
       // cover: a cache hit did not perform that work.
       if (access[r].built_cover)
@@ -1262,6 +1237,8 @@ Result<DecisionResult> Solver::find_once(const iso::Pattern& pattern,
                                          std::uint64_t run_seed,
                                          const QueryOptions& options) {
   if (Status status = validate(options); !status.ok()) return status;
+  if (Status status = require_connected(pattern, "find_once"); !status.ok())
+    return status;
   Impl::Snapshot snap;
   if (Status status = impl_->pin(options.at, &snap); !status.ok())
     return status;
@@ -1299,18 +1276,13 @@ Result<ListingResult> Solver::list(const iso::Pattern& pattern,
       std::log2(static_cast<double>(ver.graph.num_vertices()) + 2.0);
   std::uint32_t streak = 0;
   std::uint32_t j = 0;
-  const std::uint32_t d = std::max(1u, pattern.diameter());
   Status interrupted;
   try {
     while (all.size() < options.list_limit) {
       ++j;
-      CoverKey key;
-      key.d = d;
-      key.k = pattern.size();
-      key.seed = support::hash_combine(options.seed, 0x11570 + j);
-      key.version = ver.id;
-      const CoverAccess access =
-          impl_->acquire_cover(ver, key, options.decomposition);
+      const CoverAccess access = impl_->acquire_cover(
+          ver, decision_key(ver, pattern,
+                            support::hash_combine(options.seed, 0x11570 + j)));
       if (access.built_cover) result.metrics.absorb(access.cover->metrics);
       const std::size_t before = all.size();
       // The iteration stats meter the DP solve work (the dominant cost)
@@ -1642,19 +1614,6 @@ std::vector<Result<DecisionResult>> Solver::find_batch(
   return out;
 }
 
-// The async entry points share one shape: validate the Admission, allocate
-// the rendezvous state, point the query's cancellation at its token (the
-// PendingResult owns the query's lifetime, so its token overrides any
-// caller-supplied one), and run the blocking twin detached on the serving
-// pool at the admission class's priority. Two deadlines with distinct
-// jobs: the Admission queueing deadline arms HERE, at submission — a query
-// it catches still waiting when a serving thread picks it up resolves to
-// kShed with zero work — while the relative QueryOptions execution
-// deadline arms inside the blocking call, i.e. when execution starts, so
-// queue time does not consume execution budget and admitted results stay
-// bit-identical to the blocking API. async_begin/async_end bracket the
-// detached query so ~Solver can drain.
-
 namespace {
 
 /// Already-resolved rejection handle (invalid Admission).
@@ -1671,37 +1630,40 @@ Status shed_status() {
           "the query was shed without doing work"};
 }
 
-/// The armed queueing deadline of one detached query (unarmed when the
-/// admission has none), shared between submitter and serving thread.
-std::shared_ptr<support::DeadlineClock> queue_deadline(
+/// The one body of the async entry points: validate the Admission,
+/// allocate the rendezvous state, point the query's cancellation at its
+/// token (the PendingResult owns the query's lifetime, so its token
+/// overrides any caller-supplied one), and run the blocking twin detached on the executor at the admission class's priority. Two
+/// deadlines with distinct jobs: the Admission queueing deadline arms HERE,
+/// at submission — a query it catches still waiting when a serving thread
+/// picks it up resolves to kShed with zero work — while the relative
+/// QueryOptions execution deadline arms inside the blocking call, i.e.
+/// when execution starts, so queue time does not consume execution budget
+/// and admitted results stay bit-identical to the blocking API.
+/// async_begin/async_end bracket the detached query so ~Solver can drain.
+template <typename T, typename Impl>
+PendingResult<T> run_async(
+    Solver* solver, Impl* impl,
+    Result<T> (Solver::*blocking)(const iso::Pattern&, const QueryOptions&),
+    iso::Pattern pattern, const QueryOptions& options,
     const Admission& admission) {
-  auto clock = std::make_shared<support::DeadlineClock>();
-  if (admission.deadline_seconds > 0) clock->arm(admission.deadline_seconds);
-  return clock;
-}
-
-}  // namespace
-
-PendingResult<DecisionResult> Solver::find_async(iso::Pattern pattern,
-                                                 const QueryOptions& options,
-                                                 const Admission& admission) {
   if (Status status = ppsi::validate(admission); !status.ok())
-    return rejected_async<DecisionResult>(std::move(status));
-  auto shared = std::make_shared<detail::PendingShared<DecisionResult>>();
+    return rejected_async<T>(std::move(status));
+  auto shared = std::make_shared<detail::PendingShared<T>>();
   QueryOptions opts = options;
   opts.cancel = &shared->token;
   // Pin at submit: an apply() landing while this query waits in the
   // serving queue must not change what it sees (api/dynamic.hpp).
   const TargetVersion pinned =
-      options.at != nullptr ? *options.at : current_version();
-  auto deadline = queue_deadline(admission);
-  impl_->async_begin();
-  Impl* impl = impl_.get();
+      options.at != nullptr ? *options.at : solver->current_version();
+  auto deadline = std::make_shared<support::DeadlineClock>();
+  if (admission.deadline_seconds > 0) deadline->arm(admission.deadline_seconds);
+  impl->async_begin();
   support::Scheduler::submit(
-      [this, impl, shared, deadline, pattern = std::move(pattern), opts,
-       pinned] {
+      [solver, impl, blocking, shared, deadline, pattern = std::move(pattern),
+       opts, pinned] {
         if (deadline->expired()) {
-          shared->set(Result<DecisionResult>(shed_status(), DecisionResult{}));
+          shared->set(Result<T>(shed_status(), T{}));
         } else {
           QueryOptions exec = opts;
           exec.at = &pinned;
@@ -1709,112 +1671,44 @@ PendingResult<DecisionResult> Solver::find_async(iso::Pattern pattern,
           // query throws past its own containment (e.g. out of the entry
           // validation), or the waiter deadlocks and ~Solver never drains.
           try {
-            shared->set(find(pattern, exec));
+            shared->set((solver->*blocking)(pattern, exec));
           } catch (...) {
-            shared->set(
-                Result<DecisionResult>(contained_status(), DecisionResult{}));
+            shared->set(Result<T>(contained_status(), T{}));
           }
         }
         impl->async_end();
       },
       static_cast<int>(admission.priority));
-  return PendingResult<DecisionResult>(std::move(shared));
+  return PendingResult<T>(std::move(shared));
+}
+
+}  // namespace
+
+PendingResult<DecisionResult> Solver::find_async(iso::Pattern pattern,
+                                                 const QueryOptions& options,
+                                                 const Admission& admission) {
+  return run_async(this, impl_.get(), &Solver::find, std::move(pattern),
+                   options, admission);
 }
 
 PendingResult<ListingResult> Solver::list_async(iso::Pattern pattern,
                                                 const QueryOptions& options,
                                                 const Admission& admission) {
-  if (Status status = ppsi::validate(admission); !status.ok())
-    return rejected_async<ListingResult>(std::move(status));
-  auto shared = std::make_shared<detail::PendingShared<ListingResult>>();
-  QueryOptions opts = options;
-  opts.cancel = &shared->token;
-  const TargetVersion pinned =
-      options.at != nullptr ? *options.at : current_version();
-  auto deadline = queue_deadline(admission);
-  impl_->async_begin();
-  Impl* impl = impl_.get();
-  support::Scheduler::submit(
-      [this, impl, shared, deadline, pattern = std::move(pattern), opts,
-       pinned] {
-        if (deadline->expired()) {
-          shared->set(Result<ListingResult>(shed_status(), ListingResult{}));
-        } else {
-          QueryOptions exec = opts;
-          exec.at = &pinned;
-          try {
-            shared->set(list(pattern, exec));
-          } catch (...) {
-            shared->set(
-                Result<ListingResult>(contained_status(), ListingResult{}));
-          }
-        }
-        impl->async_end();
-      },
-      static_cast<int>(admission.priority));
-  return PendingResult<ListingResult>(std::move(shared));
+  return run_async(this, impl_.get(), &Solver::list, std::move(pattern),
+                   options, admission);
 }
 
 PendingResult<CountResult> Solver::count_async(iso::Pattern pattern,
                                                const QueryOptions& options,
                                                const Admission& admission) {
-  if (Status status = ppsi::validate(admission); !status.ok())
-    return rejected_async<CountResult>(std::move(status));
-  auto shared = std::make_shared<detail::PendingShared<CountResult>>();
-  QueryOptions opts = options;
-  opts.cancel = &shared->token;
-  const TargetVersion pinned =
-      options.at != nullptr ? *options.at : current_version();
-  auto deadline = queue_deadline(admission);
-  impl_->async_begin();
-  Impl* impl = impl_.get();
-  support::Scheduler::submit(
-      [this, impl, shared, deadline, pattern = std::move(pattern), opts,
-       pinned] {
-        if (deadline->expired()) {
-          shared->set(Result<CountResult>(shed_status(), CountResult{}));
-        } else {
-          QueryOptions exec = opts;
-          exec.at = &pinned;
-          try {
-            shared->set(count(pattern, exec));
-          } catch (...) {
-            shared->set(
-                Result<CountResult>(contained_status(), CountResult{}));
-          }
-        }
-        impl->async_end();
-      },
-      static_cast<int>(admission.priority));
-  return PendingResult<CountResult>(std::move(shared));
+  return run_async(this, impl_.get(), &Solver::count, std::move(pattern),
+                   options, admission);
 }
-
-namespace {
-
-/// Adds a face-vertex sub-solver's cumulative counters (resident-state
-/// fields excluded for dead versions are included here for live ones,
-/// where the entries still exist).
-void add_sub_stats(CacheStats* into, const CacheStats& sub) {
-  into->cover_hits += sub.cover_hits;
-  into->cover_misses += sub.cover_misses;
-  into->decomposition_hits += sub.decomposition_hits;
-  into->decomposition_misses += sub.decomposition_misses;
-  into->cover_evictions += sub.cover_evictions;
-  into->cover_entries += sub.cover_entries;
-  into->slices_rebuilt += sub.slices_rebuilt;
-  into->slices_reused += sub.slices_reused;
-  into->stale_covers_purged += sub.stale_covers_purged;
-}
-
-}  // namespace
 
 CacheStats Solver::cache_stats() const {
   CacheStats stats;
   stats.cover_hits = impl_->cover_hits.load(std::memory_order_relaxed);
   stats.cover_misses = impl_->cover_misses.load(std::memory_order_relaxed);
-  stats.decomposition_hits = impl_->td_hits.load(std::memory_order_relaxed);
-  stats.decomposition_misses =
-      impl_->td_misses.load(std::memory_order_relaxed);
   stats.cover_evictions = impl_->evictions.load(std::memory_order_relaxed);
   stats.slices_rebuilt = impl_->slices_rebuilt.load(std::memory_order_relaxed);
   stats.slices_reused = impl_->slices_reused.load(std::memory_order_relaxed);
@@ -1833,11 +1727,16 @@ CacheStats Solver::cache_stats() const {
   {
     const std::lock_guard<std::mutex> lock(impl_->ledger->mutex);
     stats.versions_reclaimed = impl_->ledger->reclaimed;
-    add_sub_stats(&stats, impl_->ledger->harvested);
+    detail::add_cumulative(&stats, impl_->ledger->harvested);
   }
+  // Live versions' sub-solvers still hold their entries, so those count as
+  // resident here (a dead version's died with it).
   for (const Impl::Snapshot& snap : live) {
     const std::lock_guard<std::mutex> lock(snap->fvg_mutex);
-    if (snap->fvg_solver) add_sub_stats(&stats, snap->fvg_solver->cache_stats());
+    if (!snap->fvg_solver) continue;
+    const CacheStats sub = snap->fvg_solver->cache_stats();
+    detail::add_cumulative(&stats, sub);
+    stats.cover_entries += sub.cover_entries;
   }
   return stats;
 }
@@ -1869,8 +1768,6 @@ void Solver::clear_cache() {
   }
   impl_->cover_hits.store(0, std::memory_order_relaxed);
   impl_->cover_misses.store(0, std::memory_order_relaxed);
-  impl_->td_hits.store(0, std::memory_order_relaxed);
-  impl_->td_misses.store(0, std::memory_order_relaxed);
   impl_->evictions.store(0, std::memory_order_relaxed);
   impl_->slices_rebuilt.store(0, std::memory_order_relaxed);
   impl_->slices_reused.store(0, std::memory_order_relaxed);

@@ -8,7 +8,7 @@
 // algorithm) depends only on the target graph and a handful of query
 // parameters, not on the pattern's edges. A Solver is constructed once per
 // target and memoizes that state keyed by (pattern diameter, pattern size,
-// run seed, decomposition kind), so
+// run seed), so
 //   * repeating a query with the same seed skips every cover build, and
 //   * a batch of patterns with equal (diameter, size) shares covers.
 // Caching only changes what gets recomputed, never what is computed:
@@ -44,15 +44,12 @@ class TargetVersion;
 class MutableTarget;
 struct EditScript;
 
-/// One validated option set for every Solver query (superset of
-/// cover::PipelineOptions, the shared pipeline vocabulary).
+/// One validated option set for every Solver query.
 struct QueryOptions {
   std::uint64_t seed = 1;
   /// Cover repetitions for a w.h.p. negative answer; 0 = 2 log2(n) + 4.
   std::uint32_t max_runs = 0;
   cover::EngineKind engine = cover::EngineKind::kSparse;
-  cover::DecompositionKind decomposition =
-      cover::DecompositionKind::kGreedyMinDegree;
   bool use_shortcuts = true;
   /// Listing cap; reaching it returns StatusCode::kListLimitReached with
   /// the truncated occurrence set. Must be positive.
@@ -119,13 +116,10 @@ Status validate(const QueryOptions& options);
 
 /// Cache observability (cumulative since construction / clear_cache()).
 /// A "cover" entry is one {cover + memoized per-slice tree decompositions}
-/// unit; decomposition hits count queries that found the tree
-/// decompositions of their kind already built for a cached cover.
+/// unit, published whole: a hit finds both, a miss builds both.
 struct CacheStats {
   std::uint64_t cover_hits = 0;
   std::uint64_t cover_misses = 0;
-  std::uint64_t decomposition_hits = 0;
-  std::uint64_t decomposition_misses = 0;
   std::uint64_t cover_evictions = 0;  ///< LRU evictions at the capacity cap
   std::uint64_t cover_entries = 0;    ///< currently resident (all versions)
 

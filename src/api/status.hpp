@@ -20,7 +20,7 @@ namespace ppsi {
 
 enum class StatusCode {
   kOk = 0,
-  /// QueryOptions (or legacy PipelineOptions) failed validation.
+  /// QueryOptions failed validation.
   kInvalidOptions,
   /// The pattern is unusable for this query (e.g. disconnected pattern
   /// passed to a connected-only driver, or larger than kMaxPatternSize).

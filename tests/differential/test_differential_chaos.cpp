@@ -182,9 +182,10 @@ TEST(ChaosDifferential, EditsUnderFaultsReclaimVersions) {
     for (auto& handle : handles) {
       handle.wait();
       ASSERT_TRUE(handle.get().has_value());
-      if (!handle.get().ok())
+      if (!handle.get().ok()) {
         EXPECT_TRUE(contained_code(handle.get().status().code()))
             << handle.get().status().to_string();
+      }
     }
   }
 
@@ -236,9 +237,10 @@ TEST(ChaosDifferential, AbandonedHandlesAndDestructorDrainUnderFaults) {
     ASSERT_TRUE(pending.ready());
     const auto& r = pending.get();
     ASSERT_TRUE(r.has_value());
-    if (!r.ok())
+    if (!r.ok()) {
       EXPECT_TRUE(contained_code(r.status().code()))
           << r.status().to_string();
+    }
   }
 }
 

@@ -332,10 +332,10 @@ TEST(SolverThreadsSeparating, FindSeparatingIsThreadCountInvariant) {
 // thread count, and against the fold of find_once over the run seeds.
 
 std::vector<std::uint64_t> cache_counters(const CacheStats& s) {
-  return {s.cover_hits,         s.cover_misses,       s.decomposition_hits,
-          s.decomposition_misses, s.cover_evictions,  s.cover_entries,
-          s.versions_committed, s.versions_reclaimed, s.live_versions,
-          s.slices_rebuilt,     s.slices_reused,      s.stale_covers_purged};
+  return {s.cover_hits,         s.cover_misses,       s.cover_evictions,
+          s.cover_entries,      s.versions_committed, s.versions_reclaimed,
+          s.live_versions,      s.slices_rebuilt,     s.slices_reused,
+          s.stale_covers_purged};
 }
 
 FindCapture capture_find(const Result<DecisionResult>& r) {

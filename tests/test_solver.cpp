@@ -23,7 +23,6 @@ namespace ppsi {
 namespace {
 
 using cover::DecisionResult;
-using cover::DecompositionKind;
 using cover::EngineKind;
 using iso::Pattern;
 
@@ -51,12 +50,9 @@ TEST(QueryOptionsValidation, RejectsOutOfRangeStoppingSlack) {
   EXPECT_TRUE(validate(opts).ok());
 }
 
-TEST(QueryOptionsValidation, RejectsUnknownEngineAndDecomposition) {
+TEST(QueryOptionsValidation, RejectsUnknownEngine) {
   QueryOptions opts;
   opts.engine = static_cast<EngineKind>(42);
-  EXPECT_EQ(validate(opts).code(), StatusCode::kInvalidOptions);
-  opts = {};
-  opts.decomposition = static_cast<DecompositionKind>(9);
   EXPECT_EQ(validate(opts).code(), StatusCode::kInvalidOptions);
 }
 
@@ -88,16 +84,6 @@ TEST(QueryOptionsValidation, QueriesRejectEagerly) {
   EXPECT_EQ(solver.cache_stats().cover_misses, 0u);
 }
 
-TEST(QueryOptionsValidation, PipelineValidateOptionsFlagsViolations) {
-  // validate_options is the shared lower layer behind validate(): it keeps
-  // the C-string error channel the pipeline vocabulary uses.
-  cover::PipelineOptions bad;
-  bad.stopping_slack = cover::kMaxStoppingSlack + 1;
-  EXPECT_NE(cover::validate_options(bad), nullptr);
-  bad = {};
-  EXPECT_EQ(cover::validate_options(bad), nullptr);
-}
-
 TEST(SolverStatus, VertexConnectivityNeedsEmbedding) {
   Solver solver(gen::grid_graph(4, 4));
   EXPECT_FALSE(solver.has_embedding());
@@ -118,6 +104,18 @@ TEST(SolverStatus, SeparatingRejectsMismatchedMarking) {
   EXPECT_EQ(solver.find_separating(wrong_size, cycle_pattern(4)).status()
                 .code(),
             StatusCode::kInvalidOptions);
+}
+
+TEST(SolverStatus, FindOnceRejectsDisconnectedPattern) {
+  // Theorem 2.1's cover guarantee needs a connected pattern: find_once
+  // rejects a two-component one before building any cover, as find does.
+  Solver solver(gen::grid_graph(4, 4));
+  const Pattern two_edges = Pattern::from_graph(
+      gen::disjoint_union({gen::path_graph(2), gen::path_graph(2)}));
+  const auto r = solver.find_once(two_edges, 1);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidPattern);
+  EXPECT_FALSE(r.has_value());
+  EXPECT_EQ(solver.cache_stats().cover_misses, 0u);
 }
 
 TEST(SolverStatus, WorkBudgetInterruptsWithPartialResult) {
@@ -230,7 +228,6 @@ TEST(SolverCache, RepeatedQueriesHitTheCoverCache) {
   CacheStats stats = solver.cache_stats();
   EXPECT_EQ(stats.cover_misses, 3u);
   EXPECT_EQ(stats.cover_hits, 0u);
-  EXPECT_EQ(stats.decomposition_misses, 3u);
   EXPECT_EQ(stats.cover_entries, 3u);
 
   const auto warm = solver.find(c5, opts);
@@ -238,22 +235,11 @@ TEST(SolverCache, RepeatedQueriesHitTheCoverCache) {
   stats = solver.cache_stats();
   EXPECT_EQ(stats.cover_misses, 3u);
   EXPECT_EQ(stats.cover_hits, 3u);
-  EXPECT_EQ(stats.decomposition_hits, 3u);
 
   // Identical answers; the warm query skipped the cover-build work.
   EXPECT_EQ(warm->found, cold->found);
   EXPECT_EQ(warm->runs, cold->runs);
   EXPECT_LT(warm->metrics.work(), cold->metrics.work());
-
-  // A different decomposition kind reuses the covers but must build its
-  // own tree decompositions.
-  QueryOptions minfill = opts;
-  minfill.decomposition = DecompositionKind::kGreedyMinFill;
-  ASSERT_TRUE(solver.find(c5, minfill).ok());
-  stats = solver.cache_stats();
-  EXPECT_EQ(stats.cover_misses, 3u);
-  EXPECT_EQ(stats.cover_hits, 6u);
-  EXPECT_EQ(stats.decomposition_misses, 6u);
 
   solver.clear_cache();
   stats = solver.cache_stats();

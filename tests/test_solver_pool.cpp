@@ -329,14 +329,18 @@ TEST(SolverPoolAdmission, EarliestDeadlineFirstWithinAClass) {
   const bool all_queued = pool.stats().queued == 4;
 
   d_mid.wait();
-  if (all_queued) EXPECT_TRUE(d_soon.ready());
+  if (all_queued) {
+    EXPECT_TRUE(d_soon.ready());
+  }
   d_late.wait();
   if (all_queued) {
     EXPECT_TRUE(d_mid.ready());
     EXPECT_TRUE(d_soon.ready());
   }
   open_ended.wait();
-  if (all_queued) EXPECT_TRUE(d_late.ready());
+  if (all_queued) {
+    EXPECT_TRUE(d_late.ready());
+  }
   EXPECT_TRUE(blocker.get().ok());
   EXPECT_TRUE(d_soon.get().ok());
   EXPECT_TRUE(d_mid.get().ok());
@@ -411,7 +415,9 @@ TEST(SolverPoolAdmission, LeastChargedTenantDispatchesFirst) {
 
   const bool both_queued = pool.stats().queued == 2;
   charged.wait();
-  if (both_queued) EXPECT_TRUE(uncharged.ready());
+  if (both_queued) {
+    EXPECT_TRUE(uncharged.ready());
+  }
   EXPECT_TRUE(blocker.get().ok());
   EXPECT_TRUE(charged.get().ok());
   EXPECT_TRUE(uncharged.get().ok());
@@ -445,7 +451,9 @@ TEST(SolverPoolAdmission, TenantWeightScalesTheCharge) {
 
   const bool both_queued = pool.stats().queued == 2;
   b_query.wait();
-  if (both_queued) EXPECT_TRUE(a_query.ready());
+  if (both_queued) {
+    EXPECT_TRUE(a_query.ready());
+  }
   EXPECT_TRUE(blocker.get().ok());
   EXPECT_TRUE(a_query.get().ok());
   EXPECT_TRUE(b_query.get().ok());
@@ -736,7 +744,9 @@ TEST(SolverPoolFifo, IgnoresPrioritiesAndNeverSheds) {
 
   const bool all_queued = pool.stats().queued == 3;
   second.wait();
-  if (all_queued) EXPECT_TRUE(first.ready());  // FIFO: bulk went first
+  if (all_queued) {  // FIFO: bulk went first
+    EXPECT_TRUE(first.ready());
+  }
   EXPECT_TRUE(blocker.get().ok());
   EXPECT_TRUE(first.get().ok());
   EXPECT_TRUE(second.get().ok());
