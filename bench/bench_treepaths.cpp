@@ -93,7 +93,8 @@ void add_case(Registry& reg, const std::string& name, Forest f) {
 void register_benchmarks(Registry& reg, const Corpus& corpus) {
   for (const std::size_t base : {1000u, 10000u, 100000u}) {
     const std::size_t n = corpus.n(static_cast<Vertex>(base), 64);
-    const std::string suffix = "/" + std::to_string(base);
+    std::string suffix = "/";
+    suffix += std::to_string(base);
     add_case(reg, "path" + suffix, path_tree(n));
     add_case(reg, "complete" + suffix, complete_tree(n));
     add_case(reg, "caterpillar" + suffix, caterpillar(n));

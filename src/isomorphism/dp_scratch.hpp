@@ -19,6 +19,17 @@
 // lives here, is reused by every node the thread solves, and is emptied
 // after each node in O(that node's states) — never by a sweep of its
 // high-water bucket array.
+//
+// Staging invariant. The sparse engine stages a node's states in
+// exact_states/sparse_index under a StagingScope (sparse_dp.cpp), and a
+// heavy join node's chunks stage in the scratch of whichever thread runs
+// them — the forking thread's own included, since a thread waiting in
+// Scheduler::fork()/run() executes tasks of that run. A thread therefore
+// never waits in fork()/run() while it holds its StagingScope: join
+// preparation and the chunk fork happen before the node's scope opens,
+// and build_sig_groups (which may fork) after it closed. Chunk outputs go
+// to chunk_states slots of the forking thread's scratch, one per chunk,
+// sized before the fork and read back only after it joined.
 
 #include <cstdint>
 #include <utility>
@@ -53,11 +64,20 @@ struct DpScratch {
   std::vector<StateKey> exact_states;
   StateIndexMap sparse_index;
 
-  // build_sig_groups: (signature, state index) pairs fed to SigIndex.
+  // build_sig_groups: (signature, state index) pairs fed to SigIndex, and
+  // the merge buffer of their parallel_sort.
   std::vector<std::pair<StateKey, std::uint32_t>> sig_pairs;
+  std::vector<std::pair<StateKey, std::uint32_t>> sig_sort_buffer;
 
-  // solve_sparse: the right child's signatures keyed for the join.
+  // solve_sparse joins: the right child's signatures keyed for the join
+  // (sorted, with their parallel_sort merge buffer), each left signature's
+  // [lo, hi) range of equal keys in join_pairs, and a heavy join's chunk
+  // boundaries (left-signature indices) and per-chunk staged states.
   std::vector<std::pair<std::uint64_t, StateKey>> join_pairs;
+  std::vector<std::pair<std::uint64_t, StateKey>> join_sort_buffer;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> join_ranges;
+  std::vector<std::uint32_t> chunk_bounds;
+  std::vector<std::vector<StateKey>> chunk_states;
 
   // solve_path: per-node candidate states and index (slot j of the path),
   // the flat match-DAG edge list and its CSR form, translation targets,
@@ -76,6 +96,14 @@ struct DpScratch {
   std::vector<std::uint32_t> frontier;
   std::vector<std::uint32_t> next_frontier;
   std::vector<std::uint32_t> marked;
+
+  /// Tracked bytes of the chunk output slots (settle() bookkeeping).
+  std::size_t chunk_bytes() const {
+    std::size_t bytes = support::ScratchArena::bytes_of(chunk_states);
+    for (const std::vector<StateKey>& slot : chunk_states)
+      bytes += support::ScratchArena::bytes_of(slot);
+    return bytes;
+  }
 
   /// Grows the per-path-node slot arrays to n without discarding the
   /// capacity already learned by existing slots. Call before taking slot

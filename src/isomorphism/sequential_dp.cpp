@@ -9,6 +9,7 @@
 
 #include "isomorphism/dp_scratch.hpp"
 #include "support/fault.hpp"
+#include "support/parallel.hpp"
 
 namespace ppsi::iso {
 
@@ -96,16 +97,45 @@ void build_sig_groups(const treedecomp::TreeDecomposition& td,
   node.shared_with_parent = shared_position_mask(parent_ctx, node.ctx);
   DpScratch& scratch = DpScratch::local();
   auto& pairs = scratch.sig_pairs;
-  scratch.arena.acquire(pairs, node.states.size());
+  const std::size_t n = node.states.size();
+  scratch.arena.acquire(pairs, n);
   // One merge builds the child->parent position table; each projection
   // then re-addresses via table loads instead of per-vertex binary search.
   const PositionMap pos_map = make_position_map(node.ctx, parent_ctx);
-  for (std::uint32_t i = 0; i < node.states.size(); ++i) {
-    const auto sig = project_to_parent(node.states[i], solution.codec,
-                                       pattern, node.ctx, pos_map);
-    if (sig.has_value()) pairs.emplace_back(*sig, i);
+  const auto project = [&](std::size_t i) {
+    return project_to_parent(node.states[i], solution.codec, pattern,
+                             node.ctx, pos_map);
+  };
+  // From kDefaultGrain states on (width > 1), the projections land in
+  // state order in parallel, a state with none is marked, and the marked
+  // ones are packed out in index order; below that the loop stays serial,
+  // which is measurably cheaper than the extra passes.
+  if (support::parallel_width(n, support::kDefaultGrain) == 1) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto sig = project(i);
+      if (sig.has_value()) pairs.emplace_back(*sig, i);
+    }
+  } else {
+    constexpr std::uint32_t kNoProjection = ~0u;
+    pairs.resize(n);
+    support::parallel_for(0, n, [&](std::size_t i) {
+      const auto sig = project(i);
+      pairs[i] = {sig.value_or(StateKey{}),
+                  sig.has_value() ? static_cast<std::uint32_t>(i)
+                                  : kNoProjection};
+    });
+    std::size_t kept = 0;
+    for (const auto& pair : pairs)
+      if (pair.second != kNoProjection) pairs[kept++] = pair;
+    pairs.resize(kept);
   }
-  node.sig_groups.build(pairs);
+  const auto sort_bytes = [&] {
+    return support::ScratchArena::bytes_of(pairs) +
+           support::ScratchArena::bytes_of(scratch.sig_sort_buffer);
+  };
+  const std::size_t before = sort_bytes();
+  node.sig_groups.build(pairs, scratch.sig_sort_buffer);
+  scratch.arena.settle(before, sort_bytes());
 }
 
 }  // namespace detail

@@ -19,7 +19,8 @@
 // sparse engine previously inherited. Group contents are identical to the
 // map version: `build` sorts (sig, state) pairs by (sig, state), so each
 // group lists its states in ascending order exactly as the map's
-// push_back order did.
+// push_back order did. The pairs are distinct (state indices are), so the
+// parallel sort gives that order at every width.
 
 #include <algorithm>
 #include <cstdint>
@@ -28,19 +29,22 @@
 #include <vector>
 
 #include "isomorphism/state_enumeration.hpp"
+#include "support/parallel.hpp"
 
 namespace ppsi::iso {
 
 class SigIndex {
  public:
-  /// Builds from (signature, state index) pairs; sorts `pairs` in place.
+  /// Builds from (signature, state index) pairs; sorts `pairs` with
+  /// support::parallel_sort, `sort_buffer` being its merge buffer.
   /// Storage is exact: one allocation per array, no growth. Also builds a
   /// hash-bitmap prefilter (~4 bits per distinct signature, power-of-two
   /// sized) so contains() rejects most absent signatures with one bit test
   /// instead of a binary search.
-  void build(std::vector<std::pair<StateKey, std::uint32_t>>& pairs) {
+  void build(std::vector<std::pair<StateKey, std::uint32_t>>& pairs,
+             std::vector<std::pair<StateKey, std::uint32_t>>& sort_buffer) {
     clear();
-    std::sort(pairs.begin(), pairs.end());
+    support::parallel_sort(pairs, sort_buffer);
     std::size_t distinct = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i)
       if (i == 0 || !(pairs[i].first == pairs[i - 1].first)) ++distinct;

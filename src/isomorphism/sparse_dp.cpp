@@ -5,6 +5,7 @@
 
 #include "isomorphism/dp_scratch.hpp"
 #include "support/fault.hpp"
+#include "support/parallel.hpp"
 
 namespace ppsi::iso {
 namespace {
@@ -184,7 +185,7 @@ struct NodeGen {
 /// ends — normally or by exception — empties the dedup table in O(staged
 /// states), so a throw between emit and the reset cannot leave stale
 /// entries that would silently drop states from the next solve on this
-/// thread.
+/// thread. Never held across a fork()/run() wait (dp_scratch.hpp).
 struct StagingScope {
   detail::DpScratch& scratch;
   explicit StagingScope(detail::DpScratch& s) : scratch(s) {
@@ -199,9 +200,114 @@ struct StagingScope {
     if (!scratch.sparse_index.empty()) scratch.sparse_index.clear();
     staged.clear();
   }
+
+  /// Tracked bytes of the staging buffers (settle() bookkeeping).
+  std::size_t bytes() const {
+    return support::ScratchArena::bytes_of(scratch.exact_states) +
+           scratch.sparse_index.capacity_bytes();
+  }
 };
 
+/// Join preparation of a two-child node. Fills scratch.join_pairs with the
+/// right child's (join key, signature) pairs, sorted, and
+/// scratch.join_ranges with each left signature's [lo, hi) range of equal
+/// keys in it; returns the number of (left, right) pairs, which is the
+/// join's accounted work. Keys hash the mapped fields on positions both
+/// children share plus the labels there. Grouping is by the exact 64-bit
+/// key, and the pairs are distinct and sorted by (key, signature), so each
+/// key group lists its signatures in ascending order at every width — the
+/// order, and the enumerated pairs, of the bucket map this replaces.
+std::uint64_t prepare_join(const StateCodec& codec, const SigIndex& left,
+                           const SigIndex& right, std::uint64_t shared_lr,
+                           detail::DpScratch& scratch) {
+  const auto join_key = [&](StateKey sig) {
+    // Only mapped fields can contribute; walk them via the view's mapped
+    // mask instead of scanning all k fields.
+    std::uint64_t key_code = 0;
+    const StateView view = view_of(codec, sig.code);
+    for (std::uint32_t mm = view.mapped_mask; mm != 0; mm &= mm - 1) {
+      const auto v = static_cast<std::uint32_t>(std::countr_zero(mm));
+      const std::uint64_t val = codec.get(sig.code, v);
+      if ((shared_lr >> (val - kStateMapped)) & 1ULL)
+        key_code = codec.set(key_code, v, val);
+    }
+    return support::hash_combine(key_code,
+                                 sig.sep & kSepLabelMask & shared_lr);
+  };
+  auto& pairs = scratch.join_pairs;
+  const std::vector<StateKey>& right_sigs = right.sigs();
+  scratch.arena.acquire(pairs, right_sigs.size());
+  pairs.resize(right_sigs.size());
+  support::parallel_for(0, right_sigs.size(), [&](std::size_t i) {
+    pairs[i] = {join_key(right_sigs[i]), right_sigs[i]};
+  });
+  const auto sort_bytes = [&] {
+    return support::ScratchArena::bytes_of(pairs) +
+           support::ScratchArena::bytes_of(scratch.join_sort_buffer);
+  };
+  const std::size_t before = sort_bytes();
+  support::parallel_sort(pairs, scratch.join_sort_buffer);
+  scratch.arena.settle(before, sort_bytes());
+
+  auto& ranges = scratch.join_ranges;
+  const std::vector<StateKey>& left_sigs = left.sigs();
+  scratch.arena.acquire(ranges, left_sigs.size());
+  ranges.resize(left_sigs.size());
+  support::parallel_for(0, left_sigs.size(), [&](std::size_t i) {
+    const std::uint64_t key = join_key(left_sigs[i]);
+    const auto lo = std::lower_bound(
+        pairs.begin(), pairs.end(), key,
+        [](const auto& entry, std::uint64_t k) { return entry.first < k; });
+    const auto hi = std::upper_bound(
+        lo, pairs.end(), key,
+        [](std::uint64_t k, const auto& entry) { return k < entry.first; });
+    ranges[i] = {static_cast<std::uint32_t>(lo - pairs.begin()),
+                 static_cast<std::uint32_t>(hi - pairs.begin())};
+  });
+  std::uint64_t total = 0;
+  for (const auto& [lo, hi] : ranges) total += hi - lo;
+  return total;
+}
+
+/// Splits the left signatures of a prepared join into at most `max_chunks`
+/// non-empty runs of roughly equal pair count: scratch.chunk_bounds holds
+/// the run boundaries (left-signature indices, first 0, last the count).
+void split_join(std::uint64_t total, std::size_t max_chunks,
+                detail::DpScratch& scratch) {
+  const auto& ranges = scratch.join_ranges;
+  auto& bounds = scratch.chunk_bounds;
+  scratch.arena.acquire(bounds, max_chunks + 1);
+  bounds.push_back(0);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    seen += ranges[i].second - ranges[i].first;
+    if (bounds.size() < max_chunks &&
+        seen * max_chunks >= total * bounds.size())
+      bounds.push_back(static_cast<std::uint32_t>(i + 1));
+  }
+  if (bounds.back() != ranges.size())
+    bounds.push_back(static_cast<std::uint32_t>(ranges.size()));
+}
+
 }  // namespace
+
+namespace detail {
+
+std::uint64_t join_pair_count(const DpSolution& solution,
+                              const treedecomp::TreeDecomposition& td,
+                              treedecomp::NodeId x) {
+  const auto& kids = td.children[x];
+  if (kids.size() != 2) return 0;
+  const SolvedNode& node = solution.nodes[x];
+  const SolvedNode& left = solution.nodes[kids[0]];
+  const SolvedNode& right = solution.nodes[kids[1]];
+  const std::uint64_t shared_lr = shared_position_mask(node.ctx, left.ctx) &
+                                  shared_position_mask(node.ctx, right.ctx);
+  return prepare_join(solution.codec, left.sig_groups, right.sig_groups,
+                      shared_lr, DpScratch::local());
+}
+
+}  // namespace detail
 
 DpSolution solve_sparse(const Graph& g,
                         const treedecomp::TreeDecomposition& td,
@@ -233,105 +339,128 @@ DpSolution solve_sparse(const Graph& g,
     PPSI_FAULT_POINT("dp.node");
     SolvedNode& node = sol.nodes[x];
     node.ctx = ctxs[x];
-    const StagingScope staging(scratch);
-    const std::size_t staged_bytes =
-        support::ScratchArena::bytes_of(scratch.exact_states) +
-        scratch.sparse_index.capacity_bytes();
-    NodeGen gen{codec, pattern, node.ctx, separating, scratch.exact_states,
-                scratch.sparse_index};
     const auto& kids = td.children[x];
     support::require(kids.size() <= 2, "solve_sparse: binary tree required");
-    if (kids.empty()) {
-      // Leaf: C = empty, everything else free.
-      StateView all_free;
-      all_free.u_mask = pattern.size() == 32 ? 0xffffffffu
-                                             : (1u << pattern.size()) - 1;
-      ++work;
-      gen.expand(0, all_free, all_free.u_mask, 0, 0, 0, 0);
-    } else if (kids.size() == 1) {
-      const SolvedNode& child = sol.nodes[kids[0]];
-      const std::uint64_t shared =
-          shared_position_mask(node.ctx, ctxs[kids[0]]);
-      for (const StateKey& sig : child.sig_groups.sigs()) {
-        ++work;
-        // The signature itself is the forced base (U/C/mapped fields).
-        const StateView view = view_of(codec, sig.code);
-        gen.expand(sig.code, view, view.u_mask, shared,
-                   sig.sep & kSepLabelMask, shared,
-                   sig.sep & (kSepIx | kSepOx));
-      }
-    } else {
-      const SolvedNode& left = sol.nodes[kids[0]];
-      const SolvedNode& right = sol.nodes[kids[1]];
-      const std::uint64_t shared_l =
-          shared_position_mask(node.ctx, ctxs[kids[0]]);
-      const std::uint64_t shared_r =
-          shared_position_mask(node.ctx, ctxs[kids[1]]);
-      const std::uint64_t shared_lr = shared_l & shared_r;
-      // Join the signature sets on their shared-position restriction.
-      const auto join_key = [&](StateKey sig) {
-        // Only mapped fields can contribute; walk them via the view's
-        // mapped mask instead of scanning all k fields.
-        std::uint64_t key_code = 0;
-        const StateView view = view_of(codec, sig.code);
-        for (std::uint32_t mm = view.mapped_mask; mm != 0; mm &= mm - 1) {
-          const auto v = static_cast<std::uint32_t>(std::countr_zero(mm));
-          const std::uint64_t val = codec.get(sig.code, v);
-          if ((shared_lr >> (val - kStateMapped)) & 1ULL)
-            key_code = codec.set(key_code, v, val);
-        }
-        return support::hash_combine(
-            key_code, sig.sep & kSepLabelMask & shared_lr);
-      };
-      // Flat hash join: right signatures sorted by (join key, signature);
-      // signatures are unique and fed in ascending order, so each key
-      // group keeps the sorted-signature order a hash bucket would have
-      // been filled in (in-place std::sort — stable_sort would heap-
-      // allocate a merge buffer per join node). Grouping is by the exact
-      // 64-bit key, so the enumerated (l, r) pairs — and the work count —
-      // match the bucket map this replaces.
-      auto& join_pairs = scratch.join_pairs;
-      scratch.arena.acquire(join_pairs, right.sig_groups.size());
-      for (const StateKey& sig : right.sig_groups.sigs())
-        join_pairs.emplace_back(join_key(sig), sig);
-      std::sort(join_pairs.begin(), join_pairs.end());
-      const auto key_less = [](const auto& entry, std::uint64_t key) {
-        return entry.first < key;
-      };
-      const auto key_greater = [](std::uint64_t key, const auto& entry) {
-        return key < entry.first;
-      };
-      for (const StateKey& sig_l : left.sig_groups.sigs()) {
-        const std::uint64_t key = join_key(sig_l);
-        const auto lo = std::lower_bound(join_pairs.begin(),
-                                         join_pairs.end(), key, key_less);
-        const auto hi = std::upper_bound(lo, join_pairs.end(), key,
-                                         key_greater);
-        if (lo == hi) continue;
-        for (auto it = lo; it != hi; ++it) {
-          const StateKey sig_r = it->second;
-          ++work;
-          // Labels must agree wherever both children see the vertex.
-          const std::uint64_t both = shared_lr & kSepLabelMask;
-          if ((sig_l.sep & both) != (sig_r.sep & both)) continue;
+
+    // A join expands every (left, right) signature pair of equal join key:
+    // labels must agree wherever both children see the vertex, the merged
+    // base must be consistent, and its free choices are enumerated.
+    const SolvedNode* left = nullptr;
+    std::uint64_t shared_l = 0;
+    std::uint64_t shared_r = 0;
+    std::size_t chunks = 0;  // > 0: the join ran as that many chunks
+    const auto expand_lefts = [&](NodeGen& gen, std::size_t begin,
+                                  std::size_t end) {
+      // Locals, not captures: they stay in registers across expand().
+      const StateKey* left_sigs = left->sig_groups.sigs().data();
+      const auto* ranges = scratch.join_ranges.data();
+      const auto* pairs = scratch.join_pairs.data();
+      const std::uint64_t sl = shared_l;
+      const std::uint64_t sr = shared_r;
+      const std::uint64_t labels = sl & sr & kSepLabelMask;
+      for (std::size_t i = begin; i < end; ++i) {
+        const StateKey sig_l = left_sigs[i];
+        const auto [lo, hi] = ranges[i];
+        for (std::uint32_t j = lo; j < hi; ++j) {
+          const StateKey sig_r = pairs[j].second;
+          if ((sig_l.sep & labels) != (sig_r.sep & labels)) continue;
           std::uint64_t base = 0;
           StateView view;
-          if (!merge_signatures(codec, shared_l, shared_r, sig_l, sig_r,
-                                &base, &view)) {
+          if (!merge_signatures(codec, sl, sr, sig_l, sig_r, &base, &view))
             continue;
-          }
-          gen.expand(base, view, view.u_mask, shared_l | shared_r,
-                     (sig_l.sep | sig_r.sep) & kSepLabelMask,
-                     shared_l | shared_r,
+          gen.expand(base, view, view.u_mask, sl | sr,
+                     (sig_l.sep | sig_r.sep) & kSepLabelMask, sl | sr,
                      (sig_l.sep | sig_r.sep) & (kSepIx | kSepOx));
         }
       }
+    };
+    if (kids.size() == 2) {
+      left = &sol.nodes[kids[0]];
+      shared_l = shared_position_mask(node.ctx, ctxs[kids[0]]);
+      shared_r = shared_position_mask(node.ctx, ctxs[kids[1]]);
+      const std::uint64_t pairs =
+          prepare_join(codec, left->sig_groups, sol.nodes[kids[1]].sig_groups,
+                       shared_l & shared_r, scratch);
+      const int width = support::num_threads();
+      if (width > 1 && pairs >= detail::kForkPairs) {
+        // Heavy join: chunks of left signatures expand in parallel, each
+        // staging and deduplicating in its own thread's scratch; the
+        // merge below re-emits their outputs in chunk order.
+        split_join(pairs, 4 * static_cast<std::size_t>(width), scratch);
+        chunks = scratch.chunk_bounds.size() - 1;
+        const std::size_t slot_bytes_before = scratch.chunk_bytes();
+        if (scratch.chunk_states.size() < chunks)
+          scratch.chunk_states.resize(chunks);
+        auto chunk = [&](std::size_t c) {
+          if (options.cancel.cancelled()) return;
+          detail::DpScratch& local = detail::DpScratch::local();
+          const std::uint64_t local_allocs = local.arena.alloc_events();
+          {
+            const StagingScope staging(local);
+            const std::size_t staged_bytes = staging.bytes();
+            NodeGen gen{codec, pattern, node.ctx, separating,
+                        local.exact_states, local.sparse_index};
+            expand_lefts(gen, scratch.chunk_bounds[c],
+                         scratch.chunk_bounds[c + 1]);
+            local.arena.settle(staged_bytes, staging.bytes());
+            PPSI_FAULT_POINT("dp.chunk");
+            scratch.chunk_states[c].assign(local.exact_states.begin(),
+                                           local.exact_states.end());
+          }
+          if (&local != &scratch) {  // the forking thread's own is below
+            sol.metrics.add_allocs(local.arena.alloc_events() -
+                                   local_allocs);
+            sol.metrics.note_scratch_peak(local.arena.peak_bytes());
+          }
+        };
+        support::Scheduler::fork(chunks, support::ForkBody(chunk));
+        scratch.arena.settle(slot_bytes_before, scratch.chunk_bytes());
+        // A chunk that saw the (monotone) scope cancelled skipped its
+        // expansion; the node is then abandoned like at the check above.
+        if (options.cancel.cancelled()) {
+          preempted = true;
+          break;
+        }
+      }
+      work += pairs;
     }
-    scratch.arena.settle(
-        staged_bytes, support::ScratchArena::bytes_of(scratch.exact_states) +
-                          scratch.sparse_index.capacity_bytes());
-    node.states.assign(scratch.exact_states.begin(),
-                       scratch.exact_states.end());
+
+    {
+      const StagingScope staging(scratch);
+      const std::size_t staged_bytes = staging.bytes();
+      NodeGen gen{codec, pattern, node.ctx, separating, scratch.exact_states,
+                  scratch.sparse_index};
+      if (kids.empty()) {
+        // Leaf: C = empty, everything else free.
+        StateView all_free;
+        all_free.u_mask = pattern.size() == 32 ? 0xffffffffu
+                                               : (1u << pattern.size()) - 1;
+        ++work;
+        gen.expand(0, all_free, all_free.u_mask, 0, 0, 0, 0);
+      } else if (kids.size() == 1) {
+        const SolvedNode& child = sol.nodes[kids[0]];
+        const std::uint64_t shared =
+            shared_position_mask(node.ctx, ctxs[kids[0]]);
+        for (const StateKey& sig : child.sig_groups.sigs()) {
+          ++work;
+          // The signature itself is the forced base (U/C/mapped fields).
+          const StateView view = view_of(codec, sig.code);
+          gen.expand(sig.code, view, view.u_mask, shared,
+                     sig.sep & kSepLabelMask, shared,
+                     sig.sep & (kSepIx | kSepOx));
+        }
+      } else if (chunks > 0) {
+        // First occurrence wins across chunks, as within one: the serial
+        // walk's emission sequence is the chunks' concatenated in order.
+        for (std::size_t c = 0; c < chunks; ++c)
+          for (const StateKey& key : scratch.chunk_states[c]) gen.emit(key);
+      } else {
+        expand_lefts(gen, 0, left->sig_groups.size());
+      }
+      scratch.arena.settle(staged_bytes, staging.bytes());
+      node.states.assign(scratch.exact_states.begin(),
+                         scratch.exact_states.end());
+    }
     work += node.states.size();
     detail::build_sig_groups(td, pattern, ctxs, x, sol);
     sol.metrics.add_rounds(1);

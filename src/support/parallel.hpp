@@ -132,6 +132,50 @@ std::vector<std::uint32_t> pack_indices(std::size_t n, Pred&& keep) {
   return out;
 }
 
+/// Sorts `values` ascending by operator<. A vector of at least `grain`
+/// items splits into parallel_width() static blocks that sort in parallel,
+/// then merge pairwise, the pairs of each round in parallel (an odd run
+/// out is carried to the next round), ping-ponging through `buffer`, which
+/// is resized to values.size() and may come back holding the input's old
+/// storage. Smaller inputs, or width 1, take std::sort inline. Distinct
+/// elements give the std::sort order at every width.
+template <typename T>
+void parallel_sort(std::vector<T>& values, std::vector<T>& buffer,
+                   std::size_t grain = kDefaultGrain) {
+  const std::size_t n = values.size();
+  std::size_t runs = parallel_width(n, grain);
+  if (runs == 1) {
+    std::sort(values.begin(), values.end());
+    return;
+  }
+  // Run r spans [bounds[r], bounds[r + 1]).
+  std::vector<std::size_t> bounds(runs + 1, n);
+  parallel_blocks(0, n, runs,
+                  [&](std::size_t t, std::size_t lo, std::size_t hi) {
+                    bounds[t] = lo;
+                    std::sort(values.begin() + lo, values.begin() + hi);
+                  });
+  buffer.resize(n);
+  T* src = values.data();
+  T* dst = buffer.data();
+  while (runs > 1) {
+    const std::size_t merged = (runs + 1) / 2;
+    parallel_blocks(0, merged, merged,
+                    [&](std::size_t p, std::size_t, std::size_t) {
+                      const std::size_t lo = bounds[2 * p];
+                      const std::size_t mid = bounds[2 * p + 1];
+                      const std::size_t hi = bounds[std::min(2 * p + 2, runs)];
+                      std::merge(src + lo, src + mid, src + mid, src + hi,
+                                 dst + lo);
+                    });
+    for (std::size_t p = 0; p < merged; ++p) bounds[p] = bounds[2 * p];
+    bounds[merged] = n;
+    std::swap(src, dst);
+    runs = merged;
+  }
+  if (src != values.data()) values.swap(buffer);
+}
+
 /// Packs values[i] for which keep(i) holds, preserving order.
 template <typename T, typename Pred>
 std::vector<T> pack_values(const std::vector<T>& values, Pred&& keep) {

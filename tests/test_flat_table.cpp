@@ -254,7 +254,9 @@ TEST(FlatMap, WorksWithStateKeys) {
 
 // ---- SigIndex ----
 
-std::vector<std::pair<StateKey, std::uint32_t>> sample_pairs() {
+using SigPairs = std::vector<std::pair<StateKey, std::uint32_t>>;
+
+SigPairs sample_pairs() {
   // Three groups with interleaved discovery order; indices ascend within
   // each group as build_sig_groups produces them.
   return {
@@ -265,8 +267,9 @@ std::vector<std::pair<StateKey, std::uint32_t>> sample_pairs() {
 
 TEST(SigIndex, GroupsAndLookups) {
   auto pairs = sample_pairs();
+  SigPairs sort_buffer;
   SigIndex index;
-  index.build(pairs);
+  index.build(pairs, sort_buffer);
   EXPECT_EQ(index.size(), 4u);
   EXPECT_TRUE(index.contains(StateKey{5, 0}));
   const auto g5 = index.group(StateKey{5, 0});
@@ -290,30 +293,32 @@ TEST(SigIndex, AbsentAndEmptyLookups) {
   EXPECT_TRUE(empty.group(StateKey{1, 0}).empty());
 
   auto pairs = sample_pairs();
+  SigPairs sort_buffer;
   SigIndex index;
-  index.build(pairs);
+  index.build(pairs, sort_buffer);
   EXPECT_FALSE(index.contains(StateKey{4, 0}));
   EXPECT_TRUE(index.group(StateKey{4, 0}).empty());
   EXPECT_FALSE(index.contains(StateKey{5, 1}));
 
-  std::vector<std::pair<StateKey, std::uint32_t>> none;
+  SigPairs none;
   SigIndex rebuilt;
-  rebuilt.build(none);
+  rebuilt.build(none, sort_buffer);
   EXPECT_EQ(rebuilt.size(), 0u);
   EXPECT_TRUE(rebuilt.group(StateKey{5, 0}).empty());
 }
 
 TEST(SigIndex, InputOrderIndependence) {
   auto pairs = sample_pairs();
+  SigPairs sort_buffer;
   SigIndex reference;
-  reference.build(pairs);
+  reference.build(pairs, sort_buffer);
   support::Rng rng(17);
   for (int trial = 0; trial < 20; ++trial) {
     auto shuffled = sample_pairs();
     for (std::size_t i = shuffled.size(); i > 1; --i)
       std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
     SigIndex index;
-    index.build(shuffled);
+    index.build(shuffled, sort_buffer);
     ASSERT_EQ(index.sigs(), reference.sigs());
     for (std::size_t s = 0; s < index.size(); ++s) {
       const auto got = index.group_at(s);
@@ -327,8 +332,9 @@ TEST(SigIndex, InputOrderIndependence) {
 
 TEST(SigIndex, SigsAreSorted) {
   auto pairs = sample_pairs();
+  SigPairs sort_buffer;
   SigIndex index;
-  index.build(pairs);
+  index.build(pairs, sort_buffer);
   EXPECT_TRUE(std::is_sorted(index.sigs().begin(), index.sigs().end()));
 }
 

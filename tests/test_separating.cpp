@@ -1,10 +1,12 @@
 // S-separating subgraph isomorphism tests (§5.2): the extended DP against a
 // brute-force separating oracle, the allowed-vertex restriction, the
-// sequential/parallel/sparse equivalence in separating mode, and the sparse
+// sequential/parallel/sparse equivalence in separating mode, the sparse
 // engine's per-thread scratch reuse (dedup table reset across solves, also
-// after a fault thrown mid-node).
+// after a fault thrown mid-node or inside a chunk), and its chunked heavy
+// joins (width 4 equals width 1, node for node).
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <queue>
 #include <set>
@@ -16,6 +18,7 @@
 #include "isomorphism/parallel_engine.hpp"
 #include "isomorphism/sequential_dp.hpp"
 #include "isomorphism/sparse_dp.hpp"
+#include "planar/face_vertex_graph.hpp"
 #include "support/fault.hpp"
 #include "treedecomp/greedy_decomposition.hpp"
 
@@ -221,6 +224,23 @@ SparseInstance separating_instance(Graph g, const Graph& pattern) {
   return inst;
 }
 
+/// The vertex-connectivity probe shape: the face-vertex graph of `eg`, its
+/// original vertices as S, every vertex allowed.
+SparseInstance face_vertex_instance(const planar::EmbeddedGraph& eg,
+                                    const Graph& pattern) {
+  const planar::FaceVertexGraph fvg = planar::build_face_vertex_graph(eg);
+  SparseInstance inst = separating_instance(fvg.graph, pattern);
+  inst.options.spec.in_s.assign(inst.g.num_vertices(), 0);
+  for (Vertex v = 0; v < fvg.num_original; ++v) inst.options.spec.in_s[v] = 1;
+  return inst;
+}
+
+SparseInstance plain_instance(Graph g, const Graph& pattern) {
+  SparseInstance inst{std::move(g), {}, Pattern::from_graph(pattern), {}};
+  inst.td = treedecomp::binarize(treedecomp::greedy_decomposition(inst.g));
+  return inst;
+}
+
 DpSolution solve_instance(const SparseInstance& inst) {
   return solve_sparse(inst.g, inst.td, inst.pattern, inst.options);
 }
@@ -230,6 +250,25 @@ template <class Fn>
 void on_fresh_thread(Fn&& fn) {
   std::thread worker(std::forward<Fn>(fn));
   worker.join();
+}
+
+/// Solves `inst` on a fresh thread whose width is `width`.
+DpSolution solve_at_width(const SparseInstance& inst, int width) {
+  DpSolution solution;
+  on_fresh_thread([&] {
+    omp_set_num_threads(width);
+    solution = solve_instance(inst);
+  });
+  return solution;
+}
+
+/// The largest join of a solved instance, in (left, right) signature pairs.
+std::uint64_t max_join_pairs(const SparseInstance& inst,
+                             const DpSolution& solution) {
+  std::uint64_t most = 0;
+  for (treedecomp::NodeId x = 0; x < inst.td.num_nodes(); ++x)
+    most = std::max(most, detail::join_pair_count(solution, inst.td, x));
+  return most;
 }
 
 /// Same states in the same order, same acceptance, same accounted work.
@@ -284,6 +323,76 @@ TEST(SparseScratchReuse, SolveAfterFaultMidNodeMatchesFreshThread) {
     reused = solve_instance(inst);
   });
   expect_identical(fresh, reused);
+}
+
+TEST(SparseScratchReuse, SolveAfterFaultInAChunkMatchesFreshThread) {
+  // "dp.chunk" fires inside a heavy join's chunk after the chunk staged
+  // its states in its thread's dedup table, on the forking thread or on an
+  // executor worker; the fork rethrows on the caller. Every table must
+  // still be empty for the width-4 solves that reuse those threads.
+  using support::FaultInjector;
+  const SparseInstance inst =
+      face_vertex_instance(gen::antiprism(6), gen::cycle_graph(6));
+  const DpSolution fresh = solve_at_width(inst, 1);
+  ASSERT_GE(max_join_pairs(inst, fresh), detail::kForkPairs);
+  on_fresh_thread([&] {
+    omp_set_num_threads(4);
+    {
+      support::FaultPlan plan;
+      plan.seed = 1;
+      plan.rate = 1;  // every visit fires
+      plan.point_filter = "dp.chunk";
+      const support::ScopedFaultPlan scoped(plan);
+      FaultInjector::instance().reset_stats();
+      if (FaultInjector::compiled_in()) {
+        EXPECT_THROW(solve_instance(inst), support::InjectedFault);
+        EXPECT_GE(FaultInjector::instance().stats().thrown, 1u);
+      } else {
+        solve_instance(inst);  // points compiled out: an ordinary solve
+      }
+    }
+    for (int repeat = 0; repeat < 3; ++repeat)
+      expect_identical(fresh, solve_instance(inst));
+  });
+}
+
+// ---- Chunked heavy joins ----
+//
+// At width > 1 a join of at least detail::kForkPairs signature pairs
+// expands in chunks on the executor, each deduplicating in its own
+// thread's scratch, and the forking thread merges the chunk outputs in
+// chunk order. Everything the solve returns must equal the serial walk.
+
+/// Width 4 equals width 1 node for node: states in order, signature
+/// groups, acceptance, accounted work and rounds.
+void expect_chunked_equals_serial(const SparseInstance& inst) {
+  const DpSolution serial = solve_at_width(inst, 1);
+  ASSERT_GE(max_join_pairs(inst, serial), detail::kForkPairs)
+      << "the instance must hold a join that forks";
+  const DpSolution chunked = solve_at_width(inst, 4);
+  expect_identical(serial, chunked);
+  EXPECT_EQ(serial.metrics.rounds(), chunked.metrics.rounds());
+  for (std::size_t x = 0; x < serial.nodes.size(); ++x) {
+    const SigIndex& want = serial.nodes[x].sig_groups;
+    const SigIndex& got = chunked.nodes[x].sig_groups;
+    ASSERT_EQ(want.sigs(), got.sigs()) << "node " << x;
+    for (std::size_t slot = 0; slot < want.size(); ++slot) {
+      const auto a = want.group_at(slot);
+      const auto b = got.group_at(slot);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "node " << x << " group " << slot;
+    }
+  }
+}
+
+TEST(SparseChunked, SeparatingAntiprismC8MatchesSerial) {
+  expect_chunked_equals_serial(
+      face_vertex_instance(gen::antiprism(8), gen::cycle_graph(8)));
+}
+
+TEST(SparseChunked, PlainApollonianC5MatchesSerial) {
+  expect_chunked_equals_serial(
+      plain_instance(gen::apollonian(2000, 1).graph(), gen::cycle_graph(5)));
 }
 
 TEST(Separating, MiddleVertexOfPathSeparates) {

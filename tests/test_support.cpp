@@ -1,12 +1,15 @@
 // Unit and property tests for the parallel primitives and RNG streams.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
+#include <algorithm>
 #include <numeric>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -78,6 +81,36 @@ TEST_P(ScanSizes, ExclusiveScanMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ScanSizes,
                          ::testing::Values(0, 1, 2, 100, 2047, 2048, 2049,
                                            100000));
+
+// parallel_sort at each width: sizes around its grain (below it the sort
+// is inline) and one that splits into uneven blocks; width 3 merges three
+// runs, so one run is carried over a round.
+class ParallelSort
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(ParallelSort, MatchesStdSort) {
+  const auto [n, width] = GetParam();
+  // Distinct elements (unique second field) with many equal keys.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> values(n);
+  for (std::size_t i = 0; i < n; ++i)
+    values[i] = {splitmix64(i) % 97, static_cast<std::uint32_t>(i)};
+  auto expect = values;
+  std::sort(expect.begin(), expect.end());
+  std::thread worker([&, width = width] {
+    omp_set_num_threads(width);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> buffer;
+    parallel_sort(values, buffer);
+  });
+  worker.join();
+  EXPECT_EQ(values, expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndWidths, ParallelSort,
+    ::testing::Combine(::testing::Values(0, 1, kDefaultGrain - 1,
+                                         kDefaultGrain, kDefaultGrain + 1,
+                                         3 * kDefaultGrain + 7),
+                       ::testing::Values(1, 2, 3, 4)));
 
 TEST(Pack, IndicesAndValues) {
   const std::size_t n = 50000;
